@@ -15,10 +15,8 @@ import (
 	"sync"
 	"time"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
-	"castle/internal/isa"
 	"castle/internal/optimizer"
 	"castle/internal/plan"
 	"castle/internal/sql"
@@ -262,6 +260,10 @@ func (d Device) validate() error {
 	}
 	return nil
 }
+
+// ErrUnsupported marks a query whose shape the forced device cannot run —
+// a grouped SUM(a*b) on CAPE. DeviceHybrid routes such queries to the CPU.
+var ErrUnsupported = plan.ErrUnsupported
 
 // ParseDevice maps a device name ("cape", "cpu", "hybrid") to its Device.
 func ParseDevice(s string) (Device, error) {
@@ -721,259 +723,135 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 		return nil, nil, err
 	}
 	prepEnd := time.Now()
+	cat := db.catalog()
+	c, err := compile(cp, cat, cfg.MAXVL, opt)
+	if err != nil {
+		return nil, nil, err
+	}
 
-	if opt.Device == DeviceCPU {
-		cpu := baseline.New(baseline.DefaultConfig())
-		exec.AttachCPUTelemetry(cpu, tel)
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(opt.Parallelism)
-		x.SetStreaming(opt.Streaming)
-		es := qs.Child("execute")
-		x.SetTelemetry(tel, es)
-		res, err := x.RunContext(ctx, cp.Bound, db.store)
-		es.SetInt("cycles", cpu.Cycles())
-		es.SetStr("device", "CPU")
-		es.End()
-		if err != nil {
-			return nil, nil, err
+	ro := exec.RunOptions{
+		CAPE:        cfg,
+		Catalog:     cat,
+		Fusion:      !opt.DisableFusion,
+		Parallelism: opt.Parallelism,
+		Streaming:   opt.Streaming,
+		Telemetry:   tel,
+		Span:        qs.Child("execute"),
+	}
+	pred := c.pp
+	if c.adaptive {
+		// The replan hook re-runs the tail placement search with the
+		// observed cardinality; the plan it returns carries the
+		// observed-source estimates the breakdown attaches below.
+		ro.Adaptive = &exec.AdaptiveOptions{
+			EstSurvivors: c.pp.EstSurvivors,
+			Threshold:    opt.AdaptiveThreshold,
+			Replan: func(observed int64) plan.Device {
+				pred, _ = optimizer.ReplaceTail(c.pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
+				return pred.AggDevice()
+			},
 		}
-		m := &Metrics{
-			Cycles:     cpu.Cycles(),
-			Seconds:    cpu.Seconds(),
-			BytesMoved: cpu.Mem().BytesMoved(),
-			DeviceUsed: "CPU",
-			Breakdown:  x.Breakdown(),
-			Parallel:   x.ParallelStats(),
-		}
-		applyStreamStats(m, x.StreamStats())
+	}
+	if c.perOperator {
+		ro.Span.SetStr("placement", PlacementPerOperator.String())
+	}
+	out, err := exec.Execute(ctx, c.pp, db.store, ro)
+	if out != nil && out.Adaptive != nil {
+		ro.Span.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", out.Adaptive.Fired, out.Adaptive.Replaced))
+	}
+	ro.Span.End()
+	if err != nil {
+		return nil, nil, err
+	}
+
+	m := &Metrics{
+		Cycles:            out.Cycles,
+		Seconds:           out.Seconds,
+		BytesMoved:        out.BytesMoved,
+		Plan:              c.plan,
+		CSBBreakdown:      out.ClassShare,
+		DeviceUsed:        out.Device,
+		Breakdown:         out.Breakdown,
+		Parallel:          out.Parallel,
+		Adaptive:          out.Adaptive,
+		StreamBatches:     out.Stream.Batches,
+		PeakBatchBytes:    out.Stream.PeakBatchBytes,
+		XferOverlapCycles: out.Stream.OverlapCycles,
+		EstCycles:         pred.EstCycles(),
+		AltEstCycles:      pred.AltEstCycles,
+		AltFeasible:       pred.AltFeasible,
+	}
+	if c.perOperator {
+		m.Plan = pred.String()
+	}
+	if out.Adaptive != nil {
+		m.Replaced = out.Adaptive.Replaced
+	}
+	shape := ""
+	if c.pp.FactDevice() == plan.DeviceCAPE {
+		shape = c.pp.Phys.Shape().String()
+	}
+	applyEstimates(m.Breakdown, pred)
+	qs.SetInt("est_cycles", m.EstCycles)
+	db.recordMisestimates(tel, m)
+	db.recordQueryMetrics(tel, qs, m, shape)
+	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, len(out.Result.Rows), start, prepEnd)
+	return db.decode(out.Result), m, nil
+}
+
+// compiled is a statement lowered onto the single execution path. Its
+// placed plan is annotated by the cost model, so it also prices the
+// breakdown's est column.
+type compiled struct {
+	pp *plan.PlacedPlan
+	// plan is Metrics.Plan for placements forced onto one device; a
+	// per-operator run reports its placed tree instead.
+	plan        string
+	perOperator bool
+	adaptive    bool
+}
+
+// compile chooses the placed plan for opt. Forced devices and whole-query
+// hybrid routing run the uniform plan the cost model already prices for
+// prediction; per-operator placement runs the optimizer's placed pipeline
+// (priced with the overlapped transfer term when streaming, and with the
+// materializing model when the adaptive checkpoint needs the whole fact
+// stage first).
+func compile(cp optimizer.CachedPlan, cat *stats.Catalog, maxvl int, opt Options) (compiled, error) {
+	phys := cp.Phys
+	switch {
+	case opt.Device == DeviceCPU:
 		// CPU preparations stop at binding, so the prediction runs its own
 		// plan-shape pass (planning costs microseconds against a simulation
 		// that costs milliseconds; the result is not cached).
-		var pred *plan.PlacedPlan
-		if physP, perr := optimizer.Optimize(cp.Bound, db.catalog(), cfg.MAXVL); perr == nil {
-			pred = optimizer.PredictUniform(physP, db.catalog(), cfg.MAXVL, plan.DeviceCPU)
-		}
-		db.finishQuery(tel, qs, m, "", pred, sqlText, opt, len(res.Rows), start, prepEnd)
-		return db.decode(res), m, nil
-	}
-
-	cat := db.catalog()
-	phys := cp.Phys
-
-	if opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator {
-		return db.runPlaced(ctx, qs, cp.Phys, cfg, cat, opt, sqlText, start, prepEnd)
-	}
-
-	if opt.Device == DeviceHybrid {
-		h := exec.NewDefaultHybrid(cfg, cat)
-		h.SetParallelism(opt.Parallelism)
-		h.SetStreaming(opt.Streaming)
-		exec.AttachEngineTelemetry(h.Castle().Engine(), tel)
-		exec.AttachCPUTelemetry(h.CPUExec().CPU(), tel)
-		es := qs.Child("execute")
-		h.SetTelemetry(tel, es)
-		res, dev, err := h.RunContext(ctx, phys, db.store)
+		p, err := optimizer.Optimize(cp.Bound, cat, maxvl)
 		if err != nil {
-			es.End()
-			return nil, nil, err
+			return compiled{}, err
 		}
-		m := &Metrics{DeviceUsed: dev.String(), Plan: phys.String()}
-		if dev == exec.DeviceCPU {
-			cpu := h.CPUExec().CPU()
-			m.Cycles, m.Seconds, m.BytesMoved = cpu.Cycles(), cpu.Seconds(), cpu.Mem().BytesMoved()
-			m.Breakdown = h.CPUExec().Breakdown()
-			m.Parallel = h.CPUExec().ParallelStats()
-			applyStreamStats(m, h.CPUExec().StreamStats())
-		} else {
-			st := h.Castle().Engine().Stats()
-			m.Cycles, m.Seconds = st.TotalCycles(), st.Seconds(cfg.ClockHz)
-			m.BytesMoved = h.Castle().Engine().Mem().BytesMoved()
-			m.Breakdown = h.Castle().Breakdown()
-			m.Parallel = h.Castle().ParallelStats()
-			applyStreamStats(m, h.Castle().StreamStats())
+		return compiled{pp: optimizer.PredictUniform(p, cat, maxvl, plan.DeviceCPU)}, nil
+	case opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator:
+		pp := optimizer.PlacePlan(phys, cat, maxvl)
+		if opt.Streaming && !opt.AdaptivePlacement {
+			pp = optimizer.PlacePlanStreaming(phys, cat, maxvl)
 		}
-		es.SetInt("cycles", m.Cycles)
-		es.SetStr("device", m.DeviceUsed)
-		es.End()
-		shape := ""
-		pdev := plan.DeviceCAPE
-		if dev == exec.DeviceCAPE {
-			shape = phys.Shape().String()
-		} else {
-			pdev = plan.DeviceCPU
-		}
-		pred := optimizer.PredictUniform(phys, cat, cfg.MAXVL, pdev)
-		db.finishQuery(tel, qs, m, shape, pred, sqlText, opt, len(res.Rows), start, prepEnd)
-		return db.decode(res), m, nil
+		return compiled{pp: pp, perOperator: true, adaptive: opt.AdaptivePlacement}, nil
 	}
-
-	eng := cape.New(cfg)
-	exec.AttachEngineTelemetry(eng, tel)
-	opts := exec.DefaultCastleOptions()
-	opts.Fusion = !opt.DisableFusion
-	opts.Parallelism = opt.Parallelism
-	cas := exec.NewCastle(eng, cat, opts)
-	cas.SetStreaming(opt.Streaming)
-	es := qs.Child("execute")
-	cas.SetTelemetry(tel, es)
-	res, err := cas.RunContext(ctx, phys, db.store)
-	st := eng.Stats()
-	es.SetInt("cycles", st.TotalCycles())
-	es.SetStr("device", "CAPE")
-	es.End()
-	if err != nil {
-		return nil, nil, err
+	dev := plan.DeviceCAPE
+	if opt.Device == DeviceHybrid {
+		dev = exec.DecideDevice(phys, cat, 0, 0)
 	}
-
-	breakdown := make(map[string]float64, isa.NumClasses)
-	share := st.ClassShare()
-	for c := isa.Class(0); c < isa.NumClasses; c++ {
-		breakdown[c.String()] = share[c]
-	}
-	m := &Metrics{
-		Cycles:       st.TotalCycles(),
-		Seconds:      st.Seconds(cfg.ClockHz),
-		BytesMoved:   eng.Mem().BytesMoved(),
-		Plan:         phys.String(),
-		CSBBreakdown: breakdown,
-		DeviceUsed:   "CAPE",
-		Breakdown:    cas.Breakdown(),
-		Parallel:     cas.ParallelStats(),
-	}
-	applyStreamStats(m, cas.StreamStats())
-	pred := optimizer.PredictUniform(phys, cat, cfg.MAXVL, plan.DeviceCAPE)
-	db.finishQuery(tel, qs, m, phys.Shape().String(), pred, sqlText, opt, len(res.Rows), start, prepEnd)
-	return db.decode(res), m, nil
+	return compiled{pp: optimizer.PredictUniform(phys, cat, maxvl, dev), plan: phys.String()}, nil
 }
 
-// runPlaced executes a per-operator placed pipeline (DeviceHybrid with
-// PlacementPerOperator): the optimizer assigns each physical operator its
-// own device and the placed executor runs the split pipeline; a mixed
-// placement's metrics combine both engines' cycle accounting, and its
-// breakdown rows carry per-operator devices plus explicit "xfer:" rows for
-// the crossings.
-func (db *DB) runPlaced(ctx context.Context, qs *telemetry.Span, phys *plan.Physical, cfg cape.Config, cat *stats.Catalog, opt Options, sqlText string, start, prepEnd time.Time) (*Rows, *Metrics, error) {
-	// Streaming prices crossings with the double-buffered overlap term, so
-	// the placement search sees the same transfer costs the executor will
-	// realize. Adaptive runs materialize (the checkpoint needs the complete
-	// survivor count), so they always place with the materializing model.
-	pp := optimizer.PlacePlan(phys, cat, cfg.MAXVL)
-	if opt.Streaming && !opt.AdaptivePlacement {
-		pp = optimizer.PlacePlanStreaming(phys, cat, cfg.MAXVL)
+// applyEstimates attaches a placed plan's per-operator predictions, with
+// their sources, to a breakdown's est columns.
+func applyEstimates(b *Breakdown, pred *plan.PlacedPlan) {
+	cells := pred.EstimateCells()
+	tc := make(map[string]telemetry.EstimateCell, len(cells))
+	for k, c := range cells {
+		tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
 	}
-	tel := opt.Telemetry
-	h := exec.NewDefaultHybrid(cfg, cat)
-	h.SetParallelism(opt.Parallelism)
-	h.SetStreaming(opt.Streaming && !opt.AdaptivePlacement)
-	exec.AttachEngineTelemetry(h.Castle().Engine(), tel)
-	exec.AttachCPUTelemetry(h.CPUExec().CPU(), tel)
-	es := qs.Child("execute")
-	h.Placed().SetTelemetry(tel, es)
-
-	var res *exec.Result
-	var err error
-	var ast exec.AdaptiveStats
-	adaptive := opt.AdaptivePlacement
-	if adaptive {
-		// The replan hook re-runs the tail placement search with the
-		// observed cardinality; the plan it returns carries the
-		// observed-source estimate annotations the breakdown attaches below.
-		finalPP := pp
-		aopts := exec.AdaptiveOptions{
-			EstSurvivors: pp.EstSurvivors,
-			Threshold:    opt.AdaptiveThreshold,
-			Replan: func(observed int64) plan.Device {
-				np, _ := optimizer.ReplaceTail(pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
-				finalPP = np
-				return np.AggDevice()
-			},
-		}
-		res, ast, err = h.Placed().RunAdaptiveContext(ctx, pp, db.store, aopts)
-		if err == nil && ast.Fired {
-			pp = finalPP
-		}
-	} else {
-		res, _, err = h.RunPlacedContext(ctx, pp, db.store)
-	}
-	if err != nil {
-		es.End()
-		return nil, nil, err
-	}
-	capeCy, cpuCy := h.Placed().DeviceCycles()
-	stream := h.Placed().StreamStats()
-	st := h.Castle().Engine().Stats()
-	cpu := h.CPUExec().CPU()
-	used := "CAPE+CPU"
-	if dev, uniform := pp.Uniform(); uniform {
-		used = dev.String()
-	}
-	m := &Metrics{
-		// The overlap credit is part of the breakdown's exact partition, so
-		// elapsed cycles subtract the transfer time hidden under compute.
-		Cycles:     capeCy + cpuCy - stream.OverlapCycles,
-		Seconds:    st.Seconds(cfg.ClockHz) + cpu.Seconds(),
-		BytesMoved: h.Castle().Engine().Mem().BytesMoved() + cpu.Mem().BytesMoved(),
-		Plan:       pp.String(),
-		DeviceUsed: used,
-		Breakdown:  h.Placed().Breakdown(),
-	}
-	applyStreamStats(m, stream)
-	if adaptive {
-		a := ast
-		m.Adaptive = &a
-		m.Replaced = ast.Replaced
-		if ast.Replaced && tel != nil {
-			from := plan.DeviceCAPE
-			if ast.TailDevice == plan.DeviceCAPE {
-				from = plan.DeviceCPU
-			}
-			tel.Metrics().Counter(telemetry.MetricReplacements,
-				"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
-				telemetry.L("direction", from.String()+"->"+ast.TailDevice.String())).Inc()
-		}
-	}
-	es.SetInt("cycles", m.Cycles)
-	es.SetStr("device", m.DeviceUsed)
-	es.SetStr("placement", PlacementPerOperator.String())
-	if adaptive {
-		es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", ast.Fired, ast.Replaced))
-	}
-	es.End()
-	shape := ""
-	if pp.FactDevice() == plan.DeviceCAPE {
-		shape = phys.Shape().String()
-	}
-	db.finishQuery(tel, qs, m, shape, pp, sqlText, opt, len(res.Rows), start, prepEnd)
-	return db.decode(res), m, nil
-}
-
-// applyStreamStats copies an executor's streaming accounting into the
-// metrics (all zeros for materializing runs).
-func applyStreamStats(m *Metrics, st exec.StreamStats) {
-	m.StreamBatches = st.Batches
-	m.PeakBatchBytes = st.PeakBatchBytes
-	m.XferOverlapCycles = st.OverlapCycles
-}
-
-// finishQuery is the common tail of every successful execution path: attach
-// the cost model's per-operator predictions to the breakdown, record the
-// run-level and misestimate metrics, and commit the flight record.
-func (db *DB) finishQuery(tel *Telemetry, qs *telemetry.Span, m *Metrics, shape string, pred *plan.PlacedPlan, sqlText string, opt Options, rowCount int, start, prepEnd time.Time) {
-	if pred != nil {
-		cells := pred.EstimateCells()
-		tc := make(map[string]telemetry.EstimateCell, len(cells))
-		for k, c := range cells {
-			tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
-		}
-		m.Breakdown.ApplyEstimateCells(tc)
-		m.EstCycles = pred.EstCycles()
-		m.AltEstCycles = pred.AltEstCycles
-		m.AltFeasible = pred.AltFeasible
-		qs.SetInt("est_cycles", m.EstCycles)
-		db.recordMisestimates(tel, m)
-	}
-	db.recordQueryMetrics(tel, qs, m, shape)
-	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, rowCount, start, prepEnd)
+	b.ApplyEstimateCells(tc)
 }
 
 // recordMisestimates feeds the predicted-vs-actual telemetry: a divergence
@@ -1052,21 +930,6 @@ func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metri
 	if opt.Device == DeviceHybrid {
 		placement = opt.Placement.String()
 	}
-	var ops []telemetry.FlightOp
-	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-				EstSource: o.EstSource,
-			})
-		}
-	}
 	return tel.Flight().Record(telemetry.FlightRecord{
 		SQL:            sqlText,
 		Fingerprint:    telemetry.FingerprintSQL(sqlText),
@@ -1087,7 +950,7 @@ func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metri
 			{Name: "prepare", Micros: prepMicros},
 			{Name: "execute", Micros: wall - prepMicros},
 		},
-		Ops: ops,
+		Ops: telemetry.FlightOps(m.Breakdown),
 	})
 }
 
@@ -1162,6 +1025,15 @@ func (db *DB) recordQueryMetrics(tel *Telemetry, qs *telemetry.Span, m *Metrics,
 		reg.Gauge(telemetry.MetricPeakBatchBytes,
 			"Peak bytes resident in streaming batches (last streamed query).").
 			Set(m.PeakBatchBytes)
+	}
+	if a := m.Adaptive; a != nil && a.Replaced {
+		from := plan.DeviceCAPE
+		if a.TailDevice == plan.DeviceCAPE {
+			from = plan.DeviceCPU
+		}
+		reg.Counter(telemetry.MetricReplacements,
+			"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
+			telemetry.L("direction", from.String()+"->"+a.TailDevice.String())).Inc()
 	}
 }
 

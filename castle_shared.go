@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
@@ -104,9 +103,15 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 		return rows, mets, nil
 	}
 
+	// Members fuse only with members that sweep the same fact table on the
+	// same routed device.
+	type groupKey struct {
+		fact string
+		dev  plan.Device
+	}
 	var solo []int
-	byKey := make(map[string][]sharedMember)
-	var keyOrder []string
+	byKey := make(map[groupKey][]sharedMember)
+	var keyOrder []groupKey
 	if opt.ScanSharing && n > 1 {
 		for i, sqlText := range sqls {
 			dev, err := db.Route(sqlText, opt)
@@ -119,7 +124,10 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 			if err != nil {
 				return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
 			}
-			key := cp.Bound.Fact + "|" + dev.String()
+			key := groupKey{fact: cp.Bound.Fact, dev: plan.DeviceCAPE}
+			if dev == DeviceCPU {
+				key.dev = plan.DeviceCPU
+			}
 			if _, seen := byKey[key]; !seen {
 				keyOrder = append(keyOrder, key)
 			}
@@ -134,10 +142,8 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 	cfg := capeConfig(opt)
 	for _, key := range keyOrder {
 		candidates := byKey[key]
-		onCAPE := strings.HasSuffix(key, "|"+DeviceCAPE.String())
-
 		members := candidates
-		if onCAPE {
+		if key.dev == plan.DeviceCAPE {
 			// Greedy admission against the fused-sweep eligibility check:
 			// a member whose plan would push the group over the register
 			// budget (or that needs GP-mode arithmetic) runs solo instead.
@@ -159,13 +165,7 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 			}
 			continue
 		}
-		var err error
-		if onCAPE {
-			err = db.runSharedCAPEGroup(ctx, members, opt, cfg, rows, mets)
-		} else {
-			err = db.runSharedCPUGroup(ctx, members, opt, cfg, rows, mets)
-		}
-		if err != nil {
+		if err := db.runSharedGroup(ctx, key.dev, members, opt, cfg, rows, mets); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -190,122 +190,64 @@ func shareOf(t int64, i, n int) int64 {
 	return s
 }
 
-// runSharedCAPEGroup executes one fused CAPE group and fills the members'
-// caller slots.
-func (db *DB) runSharedCAPEGroup(ctx context.Context, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
+// runSharedGroup executes one fused group on a fresh engine of dev and
+// fills the members' caller slots.
+func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
 	start := time.Now()
 	tel := opt.Telemetry
 	cat := db.catalog()
 	plans := make([]*plan.Physical, len(members))
 	for i, m := range members {
 		plans[i] = m.cp.Phys
+		if plans[i] == nil {
+			// CPU preparations stop at binding; the group estimate and the
+			// members' per-operator predictions need a plan shape.
+			p, err := optimizer.Optimize(m.cp.Bound, cat, cfg.MAXVL)
+			if err != nil {
+				return err
+			}
+			plans[i] = p
+		}
 	}
 
-	eng := cape.New(cfg)
-	exec.AttachEngineTelemetry(eng, tel)
-	opts := exec.DefaultCastleOptions()
-	opts.Fusion = !opt.DisableFusion
-
 	gs := tel.StartSpan("fused-sweep")
-	gs.SetStr("device", "CAPE")
+	gs.SetStr("device", dev.String())
 	gs.SetInt("members", int64(len(members)))
-	out, stats, err := exec.RunSharedCAPE(ctx, eng, cat, opts, plans, db.store)
-	gs.SetInt("cycles", stats.TotalCycles)
+	out, err := exec.ExecuteShared(ctx, dev, plans, db.store, exec.RunOptions{
+		CAPE: cfg, Catalog: cat, Fusion: !opt.DisableFusion, Telemetry: tel,
+	})
+	gs.SetInt("cycles", out.Stats.TotalCycles)
 	gs.End()
 	if err != nil {
 		return err
 	}
 
-	var est optimizer.SharedEstimate
-	if e, perr := optimizer.PredictShared(plans, cat, cfg.MAXVL, plan.DeviceCAPE); perr == nil {
-		est = e
-	}
+	// The group estimate is best effort: a failure leaves EstCycles zero.
+	est, _ := optimizer.PredictShared(plans, cat, cfg.MAXVL, dev)
 	gid := sharedGroupID.Add(1)
-	bytesMoved := eng.Mem().BytesMoved()
-	countSharedSweep(tel, "cape", len(members))
+	countSharedSweep(tel, strings.ToLower(dev.String()), len(members))
 	for i, m := range members {
-		res := out[i]
+		res := out.Members[i]
 		met := &Metrics{
 			Cycles:           res.Cycles,
-			Seconds:          float64(res.Cycles) / cfg.ClockHz,
-			BytesMoved:       shareOf(bytesMoved, i, len(members)),
-			Plan:             plans[i].String(),
-			DeviceUsed:       "CAPE",
+			Seconds:          float64(res.Cycles) / out.ClockHz,
+			BytesMoved:       shareOf(out.BytesMoved, i, len(members)),
+			DeviceUsed:       dev.String(),
 			Breakdown:        res.Breakdown,
 			GroupID:          gid,
 			GroupSize:        len(members),
-			SharedScanCycles: stats.SharedScanCycles,
+			SharedScanCycles: out.Stats.SharedScanCycles,
+		}
+		shape := ""
+		if dev == plan.DeviceCAPE {
+			met.Plan = plans[i].String()
+			shape = plans[i].Shape().String()
 		}
 		if est.MemberCycles != nil {
 			met.EstCycles = est.MemberCycles[i]
 		}
-		db.finishGroupMember(tel, met, m, plans[i].Shape().String(), start)
-		rows[m.idx], mets[m.idx] = db.decode(res.Result), met
-	}
-	return nil
-}
-
-// runSharedCPUGroup executes one fused CPU group and fills the members'
-// caller slots.
-func (db *DB) runSharedCPUGroup(ctx context.Context, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
-	start := time.Now()
-	tel := opt.Telemetry
-	queries := make([]*plan.Query, len(members))
-	for i, m := range members {
-		queries[i] = m.cp.Bound
-	}
-
-	cpu := baseline.New(baseline.DefaultConfig())
-	exec.AttachCPUTelemetry(cpu, tel)
-
-	gs := tel.StartSpan("fused-sweep")
-	gs.SetStr("device", "CPU")
-	gs.SetInt("members", int64(len(members)))
-	out, stats, err := exec.RunSharedCPU(ctx, cpu, queries, db.store, 0)
-	gs.SetInt("cycles", stats.TotalCycles)
-	gs.End()
-	if err != nil {
-		return err
-	}
-
-	// Best-effort shared prediction: CPU preparations stop at binding, so
-	// the group estimate runs its own plan-shape pass like the solo CPU path.
-	var est optimizer.SharedEstimate
-	cat := db.catalog()
-	physes := make([]*plan.Physical, 0, len(members))
-	for _, q := range queries {
-		p, perr := optimizer.Optimize(q, cat, cfg.MAXVL)
-		if perr != nil {
-			physes = nil
-			break
-		}
-		physes = append(physes, p)
-	}
-	if physes != nil {
-		if e, perr := optimizer.PredictShared(physes, cat, cfg.MAXVL, plan.DeviceCPU); perr == nil {
-			est = e
-		}
-	}
-
-	gid := sharedGroupID.Add(1)
-	bytesMoved := cpu.Mem().BytesMoved()
-	countSharedSweep(tel, "cpu", len(members))
-	for i, m := range members {
-		res := out[i]
-		met := &Metrics{
-			Cycles:           res.Cycles,
-			Seconds:          float64(res.Cycles) / cpu.Config().ClockHz,
-			BytesMoved:       shareOf(bytesMoved, i, len(members)),
-			DeviceUsed:       "CPU",
-			Breakdown:        res.Breakdown,
-			GroupID:          gid,
-			GroupSize:        len(members),
-			SharedScanCycles: stats.SharedScanCycles,
-		}
-		if est.MemberCycles != nil {
-			met.EstCycles = est.MemberCycles[i]
-		}
-		db.finishGroupMember(tel, met, m, "", start)
+		applyEstimates(met.Breakdown, optimizer.PredictUniform(plans[i], cat, cfg.MAXVL, dev))
+		db.finishGroupMember(tel, met, m, shape, start)
 		rows[m.idx], mets[m.idx] = db.decode(res.Result), met
 	}
 	return nil
@@ -335,19 +277,7 @@ func (db *DB) finishGroupMember(tel *Telemetry, m *Metrics, mem sharedMember, sh
 		return
 	}
 	rowCount := 0
-	var ops []telemetry.FlightOp
 	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-			})
-		}
 		for _, o := range m.Breakdown.Operators {
 			if o.Operator == "aggregate" {
 				rowCount = int(o.Rows)
@@ -371,6 +301,6 @@ func (db *DB) finishGroupMember(tel *Telemetry, m *Metrics, mem sharedMember, sh
 		Phases: []telemetry.FlightPhase{
 			{Name: "execute", Micros: wall},
 		},
-		Ops: ops,
+		Ops: telemetry.FlightOps(m.Breakdown),
 	})
 }

@@ -210,20 +210,6 @@ func (c *Cluster) recordFlight(tel *Telemetry, sqlText string, opt Options, m *M
 	prepMicros := prepEnd.Sub(start).Microseconds()
 	scatMicros := scatterEnd.Sub(start).Microseconds()
 	wall := time.Since(start).Microseconds()
-	var ops []telemetry.FlightOp
-	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-			})
-		}
-	}
 	placement := ""
 	if opt.Device == DeviceHybrid {
 		placement = opt.Placement.String()
@@ -244,7 +230,7 @@ func (c *Cluster) recordFlight(tel *Telemetry, sqlText string, opt Options, m *M
 			{Name: "scatter", Micros: scatMicros - prepMicros},
 			{Name: "gather", Micros: wall - scatMicros},
 		},
-		Ops: ops,
+		Ops: telemetry.FlightOps(m.Breakdown),
 	})
 }
 

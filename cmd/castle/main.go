@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
@@ -322,111 +321,62 @@ func (s *session) runQuery(qsql string) error {
 	}
 	fmt.Printf("plan: %v\n\n", phys)
 
-	if s.device == "hybrid" {
-		return s.runHybrid(qs, qsql, phys, cfg, marks)
-	}
-
-	if s.device == "cape" || s.device == "both" {
-		eng := cape.New(cfg)
-		exec.AttachEngineTelemetry(eng, s.tel)
-		castle := exec.NewCastle(eng, s.cat, exec.DefaultCastleOptions())
-		castle.SetParallelism(s.parallel)
-		es := qs.Child("execute")
-		castle.SetTelemetry(s.tel, es)
-		execStart := time.Now()
-		res := castle.Run(phys, s.db)
-		st := eng.Stats()
-		es.SetInt("cycles", st.TotalCycles())
-		es.SetStr("device", "CAPE")
-		es.End()
-		pred := optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCAPE)
-		bd := castle.Breakdown()
-		applyEstimateCells(bd, pred)
-		s.recordFlight(qsql, "CAPE", phys, bd, pred, len(res.Rows), st.TotalCycles(), marks, execStart)
-		s.countQuery("cape", st.TotalCycles(), eng.Mem().BytesMoved(),
-			phys.Shape().String(), st.Seconds(cfg.ClockHz))
-		fmt.Printf("== CAPE (%v)\n", cfg)
-		fmt.Print(res.Format(s.db))
-		fmt.Printf("\n%v\n", st)
-		fmt.Printf("wall time at %.1f GHz: %.3f ms; DRAM traffic: %.1f MB\n",
-			cfg.ClockHz/1e9, st.Seconds(cfg.ClockHz)*1e3,
-			float64(eng.Mem().BytesMoved())/(1<<20))
-		printParallel(castle.ParallelStats())
-		fmt.Println()
-		if s.analyze {
-			fmt.Println("EXPLAIN ANALYZE:")
-			fmt.Println(bd.Format())
-		}
+	var placed []*plan.PlacedPlan
+	switch s.device {
+	case "hybrid":
+		placed = append(placed, optimizer.PlacePlan(phys, s.cat, cfg.MAXVL))
+	case "cape", "both":
+		placed = append(placed, optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCAPE))
 	}
 	if s.device == "cpu" || s.device == "both" {
-		cpu := baseline.New(baseline.DefaultConfig())
-		exec.AttachCPUTelemetry(cpu, s.tel)
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(s.parallel)
-		es := qs.Child("execute")
-		x.SetTelemetry(s.tel, es)
-		execStart := time.Now()
-		res := x.Run(q, s.db)
-		es.SetInt("cycles", cpu.Cycles())
-		es.SetStr("device", "CPU")
-		es.End()
-		pred := optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCPU)
-		bd := x.Breakdown()
-		applyEstimateCells(bd, pred)
-		s.recordFlight(qsql, "CPU", phys, bd, pred, len(res.Rows), cpu.Cycles(), marks, execStart)
-		s.countQuery("cpu", cpu.Cycles(), cpu.Mem().BytesMoved(), "", cpu.Seconds())
-		fmt.Printf("== baseline (%v)\n", cpu.Config())
-		fmt.Print(res.Format(s.db))
-		fmt.Printf("\ntotal=%d cycles; wall time: %.3f ms; DRAM traffic: %.1f MB\n",
-			cpu.Cycles(), cpu.Seconds()*1e3, float64(cpu.Mem().BytesMoved())/(1<<20))
-		printParallel(x.ParallelStats())
-		if s.analyze {
-			fmt.Println("\nEXPLAIN ANALYZE:")
-			fmt.Println(bd.Format())
+		placed = append(placed, optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCPU))
+	}
+	for _, pp := range placed {
+		if err := s.execute(qs, qsql, phys, pp, cfg, marks); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runHybrid executes one plan under the optimizer's per-operator placement:
-// the placed pipeline may keep the whole query on one device or split the
-// fact stage and the aggregation tail across CAPE and the CPU, with both
-// devices' cycle accounting combined.
-func (s *session) runHybrid(qs *telemetry.Span, qsql string, phys *plan.Physical, cfg cape.Config, marks flightMarks) error {
-	pp := optimizer.PlacePlan(phys, s.cat, cfg.MAXVL)
-	h := exec.NewDefaultHybrid(cfg, s.cat)
-	h.SetParallelism(s.parallel)
-	exec.AttachEngineTelemetry(h.Castle().Engine(), s.tel)
-	exec.AttachCPUTelemetry(h.CPUExec().CPU(), s.tel)
+// execute runs one placed plan — a uniform placement for -device cape/cpu,
+// the optimizer's per-operator placement for -device hybrid — through the
+// shared execution path, then records and prints its accounting.
+func (s *session) execute(qs *telemetry.Span, qsql string, phys *plan.Physical, pp *plan.PlacedPlan, cfg cape.Config, marks flightMarks) error {
 	es := qs.Child("execute")
-	h.Placed().SetTelemetry(s.tel, es)
 	execStart := time.Now()
-	res, _, err := h.RunPlacedContext(context.Background(), pp, s.db)
+	out, err := exec.Execute(context.Background(), pp, s.db, exec.RunOptions{
+		CAPE: cfg, Catalog: s.cat, Fusion: true, Parallelism: s.parallel,
+		Telemetry: s.tel, Span: es,
+	})
+	es.End()
 	if err != nil {
-		es.End()
 		return s.flightFail(qsql, marks.start, err)
 	}
-	capeCy, cpuCy := h.Placed().DeviceCycles()
-	total := capeCy + cpuCy
-	used := "CAPE+CPU"
-	if dev, uniform := pp.Uniform(); uniform {
-		used = dev.String()
-	}
-	es.SetInt("cycles", total)
-	es.SetStr("device", used)
-	es.End()
-	bd := h.Placed().Breakdown()
+	bd := out.Breakdown
 	applyEstimateCells(bd, pp)
-	s.recordFlight(qsql, used, phys, bd, pp, len(res.Rows), total, marks, execStart)
-	seconds := h.Castle().Engine().Stats().Seconds(cfg.ClockHz) + h.CPUExec().CPU().Seconds()
-	moved := h.Castle().Engine().Mem().BytesMoved() + h.CPUExec().CPU().Mem().BytesMoved()
-	s.countQuery(strings.ToLower(used), total, moved, phys.Shape().String(), seconds)
+	s.recordFlight(qsql, out.Device, phys, bd, pp, len(out.Result.Rows), out.Cycles, marks, execStart)
+	shape := ""
+	if pp.FactDevice() == plan.DeviceCAPE {
+		shape = phys.Shape().String()
+	}
+	s.countQuery(strings.ToLower(out.Device), out.Cycles, out.BytesMoved, shape, out.Seconds)
 
-	fmt.Printf("== hybrid (%s)\n", used)
-	fmt.Println(pp.String())
-	fmt.Print(res.Format(s.db))
+	switch {
+	case s.device == "hybrid":
+		fmt.Printf("== hybrid (%s)\n%s\n", out.Device, pp)
+	case out.Device == "CAPE":
+		fmt.Printf("== CAPE (%v)\n", cfg)
+	default:
+		fmt.Printf("== baseline (%v)\n", out.CPU.Config())
+	}
+	fmt.Print(out.Result.Format(s.db))
+	if out.Device == "CAPE" {
+		fmt.Printf("\n%v\n", out.Engine.Stats())
+	}
 	fmt.Printf("\ntotal=%d cycles (CAPE %d + CPU %d); wall time: %.3f ms; DRAM traffic: %.1f MB\n",
-		total, capeCy, cpuCy, seconds*1e3, float64(moved)/(1<<20))
+		out.Cycles, out.CAPECycles, out.CPUCycles, out.Seconds*1e3, float64(out.BytesMoved)/(1<<20))
+	printParallel(out.Parallel)
 	if s.analyze {
 		fmt.Println("\nEXPLAIN ANALYZE:")
 		fmt.Println(bd.Format())
@@ -487,19 +437,7 @@ func (s *session) recordFlight(qsql, device string, phys *plan.Physical, bd *tel
 		rec.EstCycles = pred.EstCycles()
 		rec.AltEstCycles = pred.AltEstCycles
 	}
-	if bd != nil {
-		for _, o := range bd.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = bd.Device
-			}
-			rec.Ops = append(rec.Ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-				EstSource: o.EstSource,
-			})
-		}
-	}
+	rec.Ops = telemetry.FlightOps(bd)
 	s.flight.Record(rec)
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
@@ -136,90 +135,37 @@ func (n *Node) execute(ctx context.Context, stmts []*plan.Query, o ExecOptions) 
 	return out, cost, nil
 }
 
-// run executes one statement on fresh engines, mirroring the single-node
-// facade's device paths.
+// run executes one statement on fresh engines through the single-node
+// execution path: forced devices and whole-query hybrid routing run the
+// uniform placement, per-operator hybrid the optimizer's placed pipeline.
 func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Result, NodeCost, error) {
-	if o.Device == "cpu" {
-		cpu := baseline.New(baseline.DefaultConfig())
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(o.Parallelism)
-		res, err := x.RunContext(ctx, q, n.db)
-		if err != nil {
-			return nil, NodeCost{}, err
-		}
-		return res, NodeCost{
-			Device:     "CPU",
-			Cycles:     cpu.Cycles(),
-			WorkCycles: x.ParallelStats().WorkCycles,
-			BytesMoved: cpu.Mem().BytesMoved(),
-			Seconds:    cpu.Seconds(),
-		}, nil
-	}
-
 	cfg := o.Config
 	phys, err := optimizer.Optimize(q, n.cat, cfg.MAXVL)
 	if err != nil {
 		return nil, NodeCost{}, err
 	}
-
-	if o.Device == "hybrid" {
-		h := exec.NewDefaultHybrid(cfg, n.cat)
-		h.SetParallelism(o.Parallelism)
-		if o.PerOperator {
-			pp := optimizer.PlacePlan(phys, n.cat, cfg.MAXVL)
-			res, _, err := h.RunPlacedContext(ctx, pp, n.db)
-			if err != nil {
-				return nil, NodeCost{}, err
-			}
-			capeCy, cpuCy := h.Placed().DeviceCycles()
-			return res, NodeCost{
-				Device: "CAPE+CPU",
-				Cycles: capeCy + cpuCy,
-				// The placed pipeline runs its stages serially across
-				// devices, so elapsed and work coincide.
-				WorkCycles: capeCy + cpuCy,
-				BytesMoved: h.Castle().Engine().Mem().BytesMoved() + h.CPUExec().CPU().Mem().BytesMoved(),
-				Seconds:    h.Castle().Engine().Stats().Seconds(cfg.ClockHz) + h.CPUExec().CPU().Seconds(),
-			}, nil
-		}
-		res, dev, err := h.RunContext(ctx, phys, n.db)
-		if err != nil {
-			return nil, NodeCost{}, err
-		}
-		if dev == exec.DeviceCPU {
-			cpu := h.CPUExec().CPU()
-			return res, NodeCost{
-				Device:     "CPU",
-				Cycles:     cpu.Cycles(),
-				WorkCycles: h.CPUExec().ParallelStats().WorkCycles,
-				BytesMoved: cpu.Mem().BytesMoved(),
-				Seconds:    cpu.Seconds(),
-			}, nil
-		}
-		st := h.Castle().Engine().Stats()
-		return res, NodeCost{
-			Device:     "CAPE",
-			Cycles:     st.TotalCycles(),
-			WorkCycles: h.Castle().ParallelStats().WorkCycles,
-			BytesMoved: h.Castle().Engine().Mem().BytesMoved(),
-			Seconds:    st.Seconds(cfg.ClockHz),
-		}, nil
+	var pp *plan.PlacedPlan
+	switch {
+	case o.Device == "cpu":
+		pp = plan.Compile(phys, plan.DeviceCPU)
+	case o.Device == "cape":
+		pp = plan.Compile(phys, plan.DeviceCAPE)
+	case o.PerOperator:
+		pp = optimizer.PlacePlan(phys, n.cat, cfg.MAXVL)
+	default:
+		pp = plan.Compile(phys, exec.DecideDevice(phys, n.cat, 0, 0))
 	}
-
-	eng := cape.New(cfg)
-	opts := exec.DefaultCastleOptions()
-	opts.Parallelism = o.Parallelism
-	cas := exec.NewCastle(eng, n.cat, opts)
-	res, err := cas.RunContext(ctx, phys, n.db)
+	out, err := exec.Execute(ctx, pp, n.db, exec.RunOptions{
+		CAPE: cfg, Catalog: n.cat, Fusion: true, Parallelism: o.Parallelism,
+	})
 	if err != nil {
 		return nil, NodeCost{}, err
 	}
-	st := eng.Stats()
-	return res, NodeCost{
-		Device:     "CAPE",
-		Cycles:     st.TotalCycles(),
-		WorkCycles: cas.ParallelStats().WorkCycles,
-		BytesMoved: eng.Mem().BytesMoved(),
-		Seconds:    st.Seconds(cfg.ClockHz),
+	return out.Result, NodeCost{
+		Device:     out.Device,
+		Cycles:     out.Cycles,
+		WorkCycles: out.Parallel.WorkCycles,
+		BytesMoved: out.BytesMoved,
+		Seconds:    out.Seconds,
 	}, nil
 }

@@ -197,9 +197,9 @@ func (c *Corpus) checkCAPE(q *plan.Query, want *reference.Result, cfg cape.Confi
 	return eng.Mem().BytesMoved(), nil
 }
 
-// checkRouted runs the whole-query hybrid router (exec.DecideDevice through
-// Hybrid.RunContext): whichever engine the §7.2 crossovers pick must
-// reproduce the scalar reference bit for bit.
+// checkRouted runs the whole-query hybrid router (exec.DecideDevice's
+// uniform placement through exec.Execute): whichever engine the §7.2
+// crossovers pick must reproduce the scalar reference bit for bit.
 func (c *Corpus) checkRouted(q *plan.Query, want *reference.Result, cfg cape.Config, k int) (m *Mismatch) {
 	name := fmt.Sprintf("HYBRID[maxvl=%d,K=%d]", cfg.MAXVL, k)
 	defer func() {
@@ -211,31 +211,16 @@ func (c *Corpus) checkRouted(q *plan.Query, want *reference.Result, cfg cape.Con
 	if err != nil {
 		return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("optimize: %v", err)}
 	}
-	h := exec.NewDefaultHybrid(cfg, c.Cat)
-	h.SetParallelism(k)
-	got, dev, err := h.RunContext(context.Background(), p, c.DB)
+	pp := plan.Compile(p, exec.DecideDevice(p, c.Cat, 0, 0))
+	out, err := exec.Execute(context.Background(), pp, c.DB,
+		exec.RunOptions{CAPE: cfg, Catalog: c.Cat, Fusion: true, Parallelism: k})
 	if err != nil {
 		return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("run: %v", err)}
 	}
-	if d := diffResults(want, got); d != "" {
-		return &Mismatch{Query: q, Engine: name + "->" + dev.String(), Detail: d}
+	if d := diffResults(want, out.Result); d != "" {
+		return &Mismatch{Query: q, Engine: name + "->" + out.Device, Detail: d}
 	}
 	return nil
-}
-
-// groupedVVArith reports the one aggregate shape the CAPE aggregation
-// kernel rejects (SUM(a*b) under GROUP BY); forced placements must keep its
-// tail off CAPE, exactly as the optimizer's placement layer does.
-func groupedVVArith(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
 }
 
 // checkMixed forces both mixed per-operator placements — fact stage on CAPE
@@ -257,7 +242,7 @@ func (c *Corpus) checkMixed(q *plan.Query, want *reference.Result, cfg cape.Conf
 		aggDev := plan.DeviceCPU
 		if factDev == plan.DeviceCPU {
 			aggDev = plan.DeviceCAPE
-			if groupedVVArith(q) {
+			if q.GroupedSumMul() {
 				continue
 			}
 		}

@@ -102,7 +102,7 @@ func (c *Corpus) checkStreamedMixed(q *plan.Query, want *reference.Result, cfg c
 		aggDev := plan.DeviceCPU
 		if factDev == plan.DeviceCPU {
 			aggDev = plan.DeviceCAPE
-			if groupedVVArith(q) {
+			if q.GroupedSumMul() {
 				continue
 			}
 		}

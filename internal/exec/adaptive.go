@@ -1,10 +1,11 @@
 package exec
 
 // adaptive.go adds the mid-query re-placement checkpoint to the placed
-// executor. The fact stage runs exactly as a materializing mixed run does —
-// dimension builds on their placed devices, the fused Scan+Filter+JoinProbe
-// sweep on the fact device, survivors gathered into ship batches — and then
-// pauses: the observed survivor count is compared against the optimizer's
+// executor. An adaptive run is the materializing split pipeline of
+// placed.go — dimension builds on their placed devices, the fused
+// Scan+Filter+JoinProbe sweep on the fact device, survivors gathered into
+// one ship batch per lane — that pauses before the aggregation tail: the
+// observed survivor count is compared against the optimizer's
 // estimate, and if the symmetric ratio exceeds the threshold the caller's
 // replan hook re-runs the placement search for the unexecuted aggregation
 // tail with the observed cardinality. The tail then runs on whichever
@@ -14,11 +15,7 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
 
-	"castle/internal/cape"
 	"castle/internal/plan"
 	"castle/internal/storage"
 	"castle/internal/telemetry"
@@ -65,60 +62,26 @@ type AdaptiveStats struct {
 	TailDevice plan.Device
 }
 
-// groupedVVArith mirrors plan-level feasibility: a grouped SUM(a*b) tail
-// cannot run on CAPE (setAggLayout panics), so the checkpoint must never
-// move such a tail there whatever the replan hook answers.
-func groupedVVArith(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
-}
-
 // RunAdaptiveContext executes pp with the mid-query re-placement
 // checkpoint. The fact stage always materializes its survivor batches (the
 // checkpoint needs the complete observed count before the tail commits to
-// a device), so streaming mode does not apply to adaptive runs.
+// a device), so streaming mode does not apply to adaptive runs. Uniform
+// placements run the split pipeline too, so the tail can still move.
 func (x *Placed) RunAdaptiveContext(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
 	opts AdaptiveOptions) (*Result, AdaptiveStats, error) {
 
-	st := AdaptiveStats{EstSurvivors: opts.EstSurvivors, TailDevice: pp.AggDevice()}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := pp.Validate(); err != nil {
-		return nil, st, err
-	}
+	return x.run(ctx, pp, db, &opts)
+}
 
-	q := pp.Phys.Query
-	fact := db.MustTable(q.Fact)
-	bk := newPlacedBreakdown()
-	capeStart := x.castle.eng.TotalCycles()
-	cpuStart := x.cpu.cpu.Cycles()
-
-	var ships []*Batch
-	var err error
-	if pp.FactDevice() == plan.DeviceCAPE {
-		ships, err = x.adaptiveCAPEFact(ctx, pp, db, bk)
-	} else {
-		ships, err = x.adaptiveCPUFact(ctx, pp, db, bk)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-
-	// --- Checkpoint: compare the observed survivor count against the
-	// planner's estimate; past the threshold, re-run the tail placement
-	// with the observation.
+// checkpoint compares the observed survivor count in the materialized ship
+// batches against the planner's estimate; past the threshold it asks the
+// replan hook for the tail's device. It returns the device the tail runs on
+// (never CAPE for a grouped SUM(a*b), whatever the hook answers) and records
+// the decision in st, whose TailDevice holds the planned device on entry.
+func (st *AdaptiveStats) checkpoint(opts AdaptiveOptions, q *plan.Query, ships []*Batch) plan.Device {
+	planned := st.TailDevice
 	for _, b := range ships {
-		if b != nil {
-			st.Observed += int64(len(b.Rows))
-		}
+		st.Observed += int64(len(b.Rows))
 	}
 	threshold := opts.Threshold
 	if threshold <= 0 {
@@ -129,346 +92,14 @@ func (x *Placed) RunAdaptiveContext(ctx context.Context, pp *plan.PlacedPlan, db
 	// A zero-vs-nonzero split has no finite ratio but is by definition a
 	// gross misestimate: it always fires.
 	st.Fired = !defined || st.DivergencePct > 100*threshold
-	tailDev := pp.AggDevice()
+	tail := planned
 	if st.Fired && opts.Replan != nil {
-		tailDev = opts.Replan(st.Observed)
+		tail = opts.Replan(st.Observed)
 	}
-	if tailDev == plan.DeviceCAPE && groupedVVArith(q) {
-		tailDev = plan.DeviceCPU
+	if tail == plan.DeviceCAPE && q.GroupedSumMul() {
+		tail = plan.DeviceCPU
 	}
-	st.Replaced = tailDev != pp.AggDevice()
-	st.TailDevice = tailDev
-
-	// --- Aggregation tail on the (possibly re-placed) device, consuming
-	// the identical ship batches in identical order either way.
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	_, shipCols := shipTailCols(q)
-	acc := newGroupAcc(q.Aggs)
-	spa := x.parent.Child("aggregate")
-	if tailDev == plan.DeviceCPU {
-		a0 := x.cpu.cpu.Cycles()
-		if _, err := cpuAggregateShipments(ctx, x.cpu.cpu, q, fact, ships, acc, shipCols); err != nil {
-			return nil, st, err
-		}
-		if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-			acc.add(nil, make([]int64, len(q.Aggs)), 0)
-		}
-		bk.row("aggregate", "CPU", x.cpu.cpu.Cycles()-a0, int64(len(acc.order)))
-	} else {
-		a0 := x.castle.eng.TotalCycles()
-		if err := x.capeAggregateShipments(ctx, q, fact, ships, acc, x.castle.eng.Config().EnableADL); err != nil {
-			return nil, st, err
-		}
-		if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-			acc.add(nil, make([]int64, len(q.Aggs)), 0)
-		}
-		bk.row("aggregate", "CAPE", x.castle.eng.TotalCycles()-a0, int64(len(acc.order)))
-	}
-	spa.SetInt("groups", int64(len(acc.order)))
-	spa.End()
-
-	res := acc.result(q)
-	x.publish(bk, x.castle.eng.TotalCycles()-capeStart, x.cpu.cpu.Cycles()-cpuStart, StreamStats{})
-	return res, st, nil
-}
-
-// adaptiveCAPEFact runs the materializing CAPE fact stage of an adaptive
-// run: dimension builds on their placed devices (CPU-built dims ship their
-// values arrays in), then the fused sweep over every MAXVL partition,
-// survivors exported into per-lane batches. Identical kernels and charges
-// to runCAPEFactCPUAgg's materializing path.
-func (x *Placed) adaptiveCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown) ([]*Batch, error) {
-
-	p := pp.Phys
-	q := p.Query
-	eng := x.castle.eng
-	cpu := x.cpu.cpu
-	camCapable := eng.Config().EnableADL
-	if camCapable {
-		eng.SetLayout(cape.CAMMode)
-	}
-
-	dims := make([]dimSide, len(p.Joins))
-	for i, e := range p.Joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dev := pp.DimDevice(e.Dim)
-		sp := x.parent.Child("prep:" + e.Dim)
-		c0, u0 := eng.TotalCycles(), cpu.Cycles()
-		if dev == plan.DeviceCAPE {
-			dims[i] = capePrepareDim(eng, x.cat, q, e, db)
-		} else {
-			j := cpuPrepareDim(cpu, q, e, db)
-			dims[i] = dimSide{edge: e, keys: j.keys, attrs: j.vals, totalRows: db.MustTable(e.Dim).Rows()}
-		}
-		c1, u1 := eng.TotalCycles(), cpu.Cycles()
-		bk.row("prep:"+e.Dim, dev.String(), (c1-c0)+(u1-u0), int64(len(dims[i].keys)))
-		if dev == plan.DeviceCPU {
-			bytes := int64(4 * len(dims[i].keys) * (1 + len(e.NeedAttrs)))
-			cpu.ChargeStreamWrite(0, bytes)
-			eng.ChargeStreamRead(bytes)
-			dims[i].buildGroups(e)
-			if len(e.NeedAttrs) > 0 {
-				eng.Scalar(int64(4 * len(dims[i].keys)))
-			}
-			c2, u2 := eng.TotalCycles(), cpu.Cycles()
-			bk.row("xfer:"+e.Dim, "CAPE+CPU", (c2-c1)+(u2-u1), int64(len(dims[i].keys)))
-		}
-		sp.SetInt("rows_out", int64(len(dims[i].keys)))
-		sp.End()
-	}
-
-	factRows := db.MustTable(q.Fact).Rows()
-	maxvl := eng.Config().MAXVL
-	parts := (factRows + maxvl - 1) / maxvl
-	k := int(x.par.Load())
-	if k < 1 || parts < 1 {
-		k = 1
-	}
-	if k > parts && parts > 0 {
-		k = parts
-	}
-	attrKeys, shipCols := shipTailCols(q)
-	sweep := x.parent.Child("fact-sweep")
-	ships := make([]*Batch, k)
-	laneRows := make([]int64, k)
-
-	if k == 1 {
-		s := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep}
-		ships[0] = NewBatch(0, attrKeys)
-		var exportCycles int64
-		for base := 0; base < factRows; base += maxvl {
-			vl := factRows - base
-			if vl > maxvl {
-				vl = maxvl
-			}
-			rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-			if err != nil {
-				return nil, err
-			}
-			e0 := eng.TotalCycles()
-			exportSurvivors(eng, ships[0], rowMask, base, attrKeys, attrRegs, shipCols)
-			exportCycles += eng.TotalCycles() - e0
-			if camCapable {
-				eng.SetLayout(cape.CAMMode)
-			}
-		}
-		bk.row("filter", "CAPE", s.filterCycles, int64(factRows))
-		for _, e := range p.Joins {
-			bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
-		}
-		bk.row("xfer:aggregate", "CAPE+CPU", exportCycles, int64(len(ships[0].Rows)))
-	} else {
-		group := eng.Fork(k)
-		sweeps := make([]*tileSweep, k)
-		for i, t := range group.Tiles() {
-			if x.tel != nil {
-				AttachEngineTelemetry(t, x.tel)
-			}
-			sweeps[i] = &tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
-				perJoin: make(map[string]int64, len(p.Joins)),
-				span:    sweep.Child(fmt.Sprintf("tile%d", i))}
-			ships[i] = NewBatch(0, attrKeys)
-		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				for pi := ti; pi < parts; pi += k {
-					base := pi * maxvl
-					vl := factRows - base
-					if vl > maxvl {
-						vl = maxvl
-					}
-					rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-					if err != nil {
-						errs[ti] = err
-						return
-					}
-					exportSurvivors(s.eng, ships[ti], rowMask, base, attrKeys, attrRegs, shipCols)
-					if camCapable {
-						s.eng.SetLayout(cape.CAMMode)
-					}
-					laneRows[ti] += int64(vl)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		tileCycles := group.Merge()
-		var sum, max int64
-		for t, cy := range tileCycles {
-			bk.row(fmt.Sprintf("sweep[%d]", t), "CAPE", cy, laneRows[t])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
-		}
-		bk.row("parallel-overlap", "CAPE", max-sum, -1)
-		for _, s := range sweeps {
-			for d, cy := range s.perJoin {
-				bk.perJoin[d] += cy
-			}
-		}
-	}
-	sweep.SetInt("tiles", int64(k))
-	sweep.End()
-	return ships, nil
-}
-
-// adaptiveCPUFact runs the materializing CPU fact stage of an adaptive
-// run: dimension builds on their placed devices (CAPE-built dims ship
-// out), the filter+probe pass over the fact rows, survivors gathered into
-// per-lane batches. Identical kernels and charges to runCPUFactCAPEAgg's
-// materializing path.
-func (x *Placed) adaptiveCPUFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown) ([]*Batch, error) {
-
-	p := pp.Phys
-	q := p.Query
-	eng := x.castle.eng
-	cpu := x.cpu.cpu
-	camCapable := eng.Config().EnableADL
-
-	joins := make([]dimJoin, 0, len(p.Joins))
-	for _, e := range p.Joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dev := pp.DimDevice(e.Dim)
-		sp := x.parent.Child("prep:" + e.Dim)
-		c0, u0 := eng.TotalCycles(), cpu.Cycles()
-		var j dimJoin
-		if dev == plan.DeviceCPU {
-			j = cpuPrepareDim(cpu, q, e, db)
-		} else {
-			if camCapable {
-				eng.SetLayout(cape.CAMMode)
-			}
-			d := capePrepareDim(eng, x.cat, q, e, db)
-			j = dimJoin{edge: e, keys: d.keys, vals: d.attrs, fraction: 1}
-			if d.totalRows > 0 {
-				j.fraction = float64(len(d.keys)) / float64(d.totalRows)
-			}
-		}
-		c1, u1 := eng.TotalCycles(), cpu.Cycles()
-		bk.row("prep:"+e.Dim, dev.String(), (c1-c0)+(u1-u0), int64(len(j.keys)))
-		if dev == plan.DeviceCAPE {
-			bytes := int64(4 * len(j.keys) * (1 + len(e.NeedAttrs)))
-			eng.ChargeStreamWrite(bytes)
-			cpu.ChargeStream(0, bytes)
-			c2, u2 := eng.TotalCycles(), cpu.Cycles()
-			bk.row("xfer:"+e.Dim, "CAPE+CPU", (c2-c1)+(u2-u1), int64(len(j.keys)))
-		}
-		joins = append(joins, j)
-		sp.SetInt("rows_out", int64(len(j.keys)))
-		sp.End()
-	}
-	sort.SliceStable(joins, func(i, j int) bool { return joins[i].fraction < joins[j].fraction })
-
-	rows := db.MustTable(q.Fact).Rows()
-	k := int(x.par.Load())
-	if k < 1 {
-		k = 1
-	}
-	if k > rows {
-		k = rows
-	}
-	if k < 1 {
-		k = 1
-	}
-	attrKeys, shipCols := shipTailCols(q)
-	sweep := x.parent.Child("fact-sweep")
-	ships := make([]*Batch, k)
-	laneRows := make([]int64, k)
-
-	if k == 1 {
-		s := &cpuSweep{cpu: cpu, perJoin: bk.perJoin, span: sweep}
-		sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, nil, 0, rows)
-		if err != nil {
-			return nil, err
-		}
-		x0 := cpu.Cycles()
-		ships[0] = gatherCPUSurvivors(cpu, sel, attrCols, attrKeys, 0, rows, shipCols)
-		bk.row("filter", "CPU", s.filterCycles, int64(rows))
-		for _, e := range p.Joins {
-			bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
-		}
-		bk.row("xfer:aggregate", "CAPE+CPU", cpu.Cycles()-x0, int64(len(ships[0].Rows)))
-	} else {
-		tables, err := x.buildShipTables(ctx, cpu, joins, bk)
-		if err != nil {
-			return nil, err
-		}
-		cores := cpu.Fork(k)
-		sweeps := make([]*cpuSweep, k)
-		for i, core := range cores {
-			if x.tel != nil {
-				AttachCPUTelemetry(core, x.tel)
-			}
-			sweeps[i] = &cpuSweep{cpu: core,
-				perJoin: make(map[string]int64, len(joins)),
-				span:    sweep.Child(fmt.Sprintf("core%d", i))}
-		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			base, end := i*rows/k, (i+1)*rows/k
-			wg.Add(1)
-			go func(ti, base, end int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, tables, base, end)
-				if err != nil {
-					errs[ti] = err
-					return
-				}
-				ships[ti] = gatherCPUSurvivors(s.cpu, sel, attrCols, attrKeys, base, end, shipCols)
-				laneRows[ti] = int64(end - base)
-			}(i, base, end)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		var maxRaw float64
-		var sum, max int64
-		for i, s := range sweeps {
-			cy := s.cpu.Cycles()
-			bk.row(fmt.Sprintf("sweep[%d]", i), "CPU", cy, laneRows[i])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
-			if raw := s.cpu.RawCycles(); raw > maxRaw {
-				maxRaw = raw
-			}
-			for d, cyj := range s.perJoin {
-				bk.perJoin[d] += cyj
-			}
-		}
-		bk.row("parallel-overlap", "CPU", max-sum, -1)
-		cpu.AbsorbElapsed(maxRaw)
-		for _, core := range cores {
-			cpu.AbsorbTraffic(core)
-		}
-	}
-	sweep.SetInt("cores", int64(k))
-	sweep.End()
-	return ships, nil
+	st.Replaced = tail != planned
+	st.TailDevice = tail
+	return tail
 }

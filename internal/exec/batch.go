@@ -51,6 +51,15 @@ func NewBatch(base int, attrKeys []string) *Batch {
 	return b
 }
 
+// append moves o's survivor tuples onto the end of b: a materializing lane
+// accumulates every partition's batch into one shipment.
+func (b *Batch) append(o *Batch) {
+	b.Rows = append(b.Rows, o.Rows...)
+	for k, v := range o.Attrs {
+		b.Attrs[k] = append(b.Attrs[k], v...)
+	}
+}
+
 // Len returns the number of survivor tuples in the batch.
 func (b *Batch) Len() int { return len(b.Rows) }
 

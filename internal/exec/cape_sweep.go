@@ -205,9 +205,6 @@ func (s *tileSweep) runAggregate(ctx context.Context, p *plan.Physical, db *stor
 		eng.SetLayout(cape.GPMode)
 		rowMask = eng.Relayout(rowMask)
 		regs = newRegAlloc(eng.Config().NumVRegs)
-		if len(q.GroupBy) > 0 {
-			panic("exec: GROUP BY with vv-arithmetic aggregates is outside SSB's shape")
-		}
 	}
 
 	if len(q.GroupBy) == 0 {

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"castle/internal/cape"
@@ -210,20 +209,13 @@ func (c *Castle) ParallelStats() ParallelStats {
 	if b == nil {
 		return ParallelStats{}
 	}
-	var sum, max int64
-	for _, cy := range b.tileCycles {
-		sum += cy
-		if cy > max {
-			max = cy
-		}
-	}
 	return ParallelStats{
 		Tiles:         b.tiles,
 		TileCycles:    append([]int64(nil), b.tileCycles...),
 		TileRows:      append([]int64(nil), b.tileRows...),
 		MergeCycles:   b.mergeCycles,
 		ElapsedCycles: b.elapsed,
-		WorkCycles:    b.elapsed + (sum - max),
+		WorkCycles:    b.elapsed + overlapHidden(b.tileCycles),
 	}
 }
 
@@ -265,11 +257,10 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	camCapable := cfg.EnableADL
 	// Queries whose aggregates need vv arithmetic (SUM(a*b)) run their
 	// aggregation phase in GP mode; everything else stays in one layout.
-	needGPArith := false
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			needGPArith = true
-		}
+	// The GP-mode tail cannot also run Algorithm 2's CAM-mode searches.
+	needGPArith := q.HasSumMul()
+	if needGPArith && camCapable && len(q.GroupBy) > 0 {
+		return nil, fmt.Errorf("%w: CAPE cannot aggregate SUM(a*b) under GROUP BY", plan.ErrUnsupported)
 	}
 
 	// Phase 0: filter dimensions on CAPE and compact qualifying keys and
@@ -301,14 +292,7 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	maxvl := cfg.MAXVL
 	parts := (factRows + maxvl - 1) / maxvl
 
-	k := int(c.par.Load())
-	if k < 1 || parts < 1 {
-		k = 1
-	}
-	if k > parts && parts > 0 {
-		// Never fork more tiles than there are morsels to run on them.
-		k = parts
-	}
+	k := fanOut(int(c.par.Load()), parts)
 	run.tiles = k
 
 	acc := newGroupAcc(q.Aggs)
@@ -401,41 +385,32 @@ func (c *Castle) runParallelSweep(ctx context.Context, run *runBooks, p *plan.Ph
 	}
 
 	rows := make([]int64, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := range sweeps {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			s := sweeps[ti]
-			defer s.span.End()
-			for pi := ti; pi < parts; pi += k {
-				base := pi * maxvl
-				vl := factRows - base
-				if vl > maxvl {
-					vl = maxvl
-				}
-				if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
-					errs[ti] = err
-					return
-				}
-				if camCapable {
-					s.eng.SetLayout(cape.CAMMode)
-				}
-				rows[ti] += int64(vl)
+	err := runLanes(k, func(ti int) error {
+		s := sweeps[ti]
+		defer s.span.End()
+		for pi := ti; pi < parts; pi += k {
+			base := pi * maxvl
+			vl := factRows - base
+			if vl > maxvl {
+				vl = maxvl
 			}
-			if !c.opts.Fusion {
-				s.chargeFissionOverhead(p, (parts-ti+k-1)/k, maxvl)
+			if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
+				return err
 			}
-			s.span.SetInt("cycles", s.eng.TotalCycles())
-			s.span.SetInt("rows", rows[ti])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			if camCapable {
+				s.eng.SetLayout(cape.CAMMode)
+			}
+			rows[ti] += int64(vl)
 		}
+		if !c.opts.Fusion {
+			s.chargeFissionOverhead(p, (parts-ti+k-1)/k, maxvl)
+		}
+		s.span.SetInt("cycles", s.eng.TotalCycles())
+		s.span.SetInt("rows", rows[ti])
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Fold the tiles back into the parent: elapsed advances by the
@@ -498,21 +473,17 @@ func (c *Castle) finishBreakdown(run *runBooks, p *plan.Physical, factRows, grou
 			Operator: "aggregate", Device: "CAPE", Cycles: run.aggCycles, Rows: groups})
 		covered += run.aggCycles
 	} else {
-		var sum, max int64
 		for t, cy := range run.tileCycles {
 			b.Operators = append(b.Operators, telemetry.OperatorStats{
 				Operator: fmt.Sprintf("sweep[%d]", t), Device: "CAPE", Cycles: cy, Rows: run.tileRows[t]})
-			sum += cy
-			if cy > max {
-				max = cy
-			}
 			covered += cy
 		}
 		// The tiles overlapped: only the critical tile is elapsed time, so
 		// credit the hidden work back with an explicit negative row.
+		hidden := overlapHidden(run.tileCycles)
 		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "parallel-overlap", Device: "CAPE", Cycles: max - sum, Rows: -1})
-		covered += max - sum
+			Operator: "parallel-overlap", Device: "CAPE", Cycles: -hidden, Rows: -1})
+		covered -= hidden
 		b.Operators = append(b.Operators, telemetry.OperatorStats{
 			Operator: "merge", Device: "CAPE", Cycles: run.mergeCycles, Rows: groups})
 		covered += run.mergeCycles

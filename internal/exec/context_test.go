@@ -12,6 +12,7 @@ import (
 	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/isa"
+	"castle/internal/plan"
 )
 
 const ctxTestQuery = `SELECT SUM(lo_revenue), d_year, p_brand1
@@ -93,8 +94,8 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if _, err := x.RunContext(ctx, p.Query, database); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cpu: want context.Canceled, got %v", err)
 	}
-	h := NewDefaultHybrid(smallCape(), cat)
-	if _, _, err := h.RunContext(ctx, p, database); !errors.Is(err, context.Canceled) {
+	pp := plan.Compile(p, DecideDevice(p, cat, 0, 0))
+	if _, err := Execute(ctx, pp, database, RunOptions{CAPE: smallCape(), Catalog: cat, Fusion: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("hybrid: want context.Canceled, got %v", err)
 	}
 }

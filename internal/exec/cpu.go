@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"castle/internal/baseline"
@@ -155,20 +154,13 @@ func (x *CPUExec) ParallelStats() ParallelStats {
 	if b == nil {
 		return ParallelStats{}
 	}
-	var sum, max int64
-	for _, cy := range b.coreCycles {
-		sum += cy
-		if cy > max {
-			max = cy
-		}
-	}
 	return ParallelStats{
 		Tiles:         b.cores,
 		TileCycles:    append([]int64(nil), b.coreCycles...),
 		TileRows:      append([]int64(nil), b.coreRows...),
 		MergeCycles:   b.mergeCycles,
 		ElapsedCycles: b.elapsed,
-		WorkCycles:    b.elapsed + (sum - max),
+		WorkCycles:    b.elapsed + overlapHidden(b.coreCycles),
 	}
 }
 
@@ -205,17 +197,7 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 	}
 	runStart := cpu.Cycles()
 
-	k := int(x.par.Load())
-	if k < 1 {
-		k = 1
-	}
-	if k > rows {
-		// Never fork more cores than there are fact rows to split.
-		k = rows
-	}
-	if k < 1 {
-		k = 1
-	}
+	k := fanOut(int(x.par.Load()), rows)
 	run.cores = k
 
 	// Dimension prep on the primary core: selection scans plus key and
@@ -338,39 +320,32 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 	attrCount := streamAttrCount(joins)
 	laneBatches := make([]int64, k)
 	lanePeak := make([]int64, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := range sweeps {
-		base, end := i*rows/k, (i+1)*rows/k
-		wg.Add(1)
-		go func(ti, base, end int) {
-			defer wg.Done()
-			s := sweeps[ti]
-			defer s.span.End()
-			if streaming {
-				for lo := base; lo < end && errs[ti] == nil; lo += step {
-					hi := lo + step
-					if hi > end {
-						hi = end
-					}
-					errs[ti] = s.run(ctx, q, db, joins, tables, lo, hi)
-					laneBatches[ti]++
-					if b := streamResidentBytes(hi-lo, attrCount); b > lanePeak[ti] {
-						lanePeak[ti] = b
-					}
+	err = runLanes(k, func(ti int) error {
+		s := sweeps[ti]
+		defer s.span.End()
+		base, end := ti*rows/k, (ti+1)*rows/k
+		var err error
+		if streaming {
+			for lo := base; lo < end && err == nil; lo += step {
+				hi := lo + step
+				if hi > end {
+					hi = end
 				}
-			} else {
-				errs[ti] = s.run(ctx, q, db, joins, tables, base, end)
+				err = s.run(ctx, q, db, joins, tables, lo, hi)
+				laneBatches[ti]++
+				if b := streamResidentBytes(hi-lo, attrCount); b > lanePeak[ti] {
+					lanePeak[ti] = b
+				}
 			}
-			s.span.SetInt("cycles", s.cpu.Cycles())
-			s.span.SetInt("rows", int64(end-base))
-		}(i, base, end)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		} else {
+			err = s.run(ctx, q, db, joins, tables, base, end)
 		}
+		s.span.SetInt("cycles", s.cpu.Cycles())
+		s.span.SetInt("rows", int64(end-base))
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if streaming {
 		// Lanes run concurrently, so peak residency is the sum of per-lane
@@ -521,23 +496,19 @@ func (x *CPUExec) finishBreakdown(run *cpuRunBooks, q *plan.Query, factRows, gro
 			})
 			covered += run.buildCycles[e.Dim]
 		}
-		var sum, max int64
 		for t, cy := range run.coreCycles {
 			b.Operators = append(b.Operators, telemetry.OperatorStats{
 				Operator: fmt.Sprintf("sweep[%d]", t), Device: "CPU", Cycles: cy, Rows: run.coreRows[t],
 			})
-			sum += cy
-			if cy > max {
-				max = cy
-			}
 			covered += cy
 		}
 		// The cores overlapped: only the critical core is elapsed time, so
 		// credit the hidden work back with an explicit negative row.
+		hidden := overlapHidden(run.coreCycles)
 		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "parallel-overlap", Device: "CPU", Cycles: max - sum, Rows: -1,
+			Operator: "parallel-overlap", Device: "CPU", Cycles: -hidden, Rows: -1,
 		})
-		covered += max - sum
+		covered -= hidden
 		b.Operators = append(b.Operators, telemetry.OperatorStats{
 			Operator: "merge", Device: "CPU", Cycles: run.mergeCycles, Rows: groups,
 		})

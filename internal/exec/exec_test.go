@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -718,51 +720,73 @@ func TestCountDistinctAndLimitAcrossEngines(t *testing.T) {
 func TestHybridRouting(t *testing.T) {
 	database, cat := db(t)
 	cfg := withFlags(smallCape(), true, true, true)
+	route := func(p *plan.Physical) (*Outcome, Device) {
+		t.Helper()
+		dev := DecideDevice(p, cat, 0, 0)
+		out, err := Execute(context.Background(), plan.Compile(p, dev), database,
+			RunOptions{CAPE: cfg, Catalog: cat, Fusion: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, dev
+	}
 
 	// Small group count -> CAPE.
 	bound := bindQuery(t, database, `
 		SELECT d_year, SUM(lo_revenue) FROM lineorder, date
 		WHERE lo_orderdate = d_datekey GROUP BY d_year`)
-	p := optimize(t, bound, cat, cfg.MAXVL)
-	h := NewDefaultHybrid(cfg, cat)
-	res, dev := h.Run(p, database)
-	if dev != DeviceCAPE {
-		t.Fatalf("7-group aggregation routed to %v, want CAPE", dev)
+	out, dev := route(optimize(t, bound, cat, cfg.MAXVL))
+	if dev != DeviceCAPE || out.Device != "CAPE" {
+		t.Fatalf("7-group aggregation routed to %v (%s), want CAPE", dev, out.Device)
 	}
-	if !Reference(bound, database).Equal(res) {
+	if !Reference(bound, database).Equal(out.Result) {
 		t.Fatal("hybrid CAPE path wrong result")
 	}
-	if h.Cycles(dev) <= 0 {
-		t.Fatal("no cycles recorded")
+	if out.Cycles <= 0 || out.Cycles != out.CAPECycles {
+		t.Fatalf("CAPE run accounted %d cycles (%d on CAPE)", out.Cycles, out.CAPECycles)
 	}
 
 	// Group by a high-cardinality fact column -> CPU (Figure 12).
 	bound2 := bindQuery(t, database, `
 		SELECT lo_orderkey, SUM(lo_revenue) FROM lineorder GROUP BY lo_orderkey`)
-	p2 := optimize(t, bound2, cat, cfg.MAXVL)
-	if g := h.EstimateGroups(bound2); g <= 5000 {
+	if g := estimateGroups(bound2, cat); g <= 5000 {
 		t.Fatalf("estimated groups = %d, want > 5000", g)
 	}
-	res2, dev2 := h.Run(p2, database)
-	if dev2 != DeviceCPU {
-		t.Fatalf("15K-group aggregation routed to %v, want CPU", dev2)
+	out2, dev2 := route(optimize(t, bound2, cat, cfg.MAXVL))
+	if dev2 != DeviceCPU || out2.Device != "CPU" {
+		t.Fatalf("15K-group aggregation routed to %v (%s), want CPU", dev2, out2.Device)
 	}
-	if !Reference(bound2, database).Equal(res2) {
+	if !Reference(bound2, database).Equal(out2.Result) {
 		t.Fatal("hybrid CPU path wrong result")
 	}
-	if h.Cycles(dev2) <= 0 {
-		t.Fatal("no cycles recorded on CPU path")
+	if out2.Cycles <= 0 || out2.Cycles != out2.CPUCycles || out2.ClassShare != nil {
+		t.Fatalf("CPU run accounted %d cycles (%d on CPU), class share %v", out2.Cycles, out2.CPUCycles, out2.ClassShare)
 	}
 
 	// Lowering the dimension threshold flips a join query to the CPU.
-	h.DimThreshold = 1
 	bound3 := bindQuery(t, database, `
 		SELECT SUM(lo_revenue) FROM lineorder, supplier WHERE lo_suppkey = s_suppkey`)
 	p3 := optimize(t, bound3, cat, cfg.MAXVL)
-	if d := h.Decide(p3); d != DeviceCPU {
+	if d := DecideDevice(p3, cat, 0, 1); d != DeviceCPU {
 		t.Fatalf("oversized dimension routed to %v, want CPU", d)
 	}
-	if h.Castle() == nil || h.CPUExec() == nil || DeviceCAPE.String() == "" || DeviceCPU.String() == "" {
-		t.Fatal("accessors broken")
+
+	// A grouped SUM(a*b) cannot aggregate on CAPE: the router sends it to
+	// the CPU and a forced CAPE placement is rejected with ErrUnsupported.
+	bound4 := bindQuery(t, database, `
+		SELECT d_year, SUM(lo_extendedprice * lo_discount) FROM lineorder, date
+		WHERE lo_orderdate = d_datekey GROUP BY d_year`)
+	p4 := optimize(t, bound4, cat, cfg.MAXVL)
+	out4, dev4 := route(p4)
+	if dev4 != DeviceCPU || !Reference(bound4, database).Equal(out4.Result) {
+		t.Fatalf("grouped SUM(a*b) routed to %v", dev4)
+	}
+	_, err := Execute(context.Background(), plan.Compile(p4, DeviceCAPE), database,
+		RunOptions{CAPE: cfg, Catalog: cat, Fusion: true})
+	if !errors.Is(err, plan.ErrUnsupported) {
+		t.Fatalf("forced CAPE grouped SUM(a*b): want ErrUnsupported, got %v", err)
+	}
+	if _, err := NewCastle(cape.New(cfg), cat, DefaultCastleOptions()).RunContext(context.Background(), p4, database); !errors.Is(err, plan.ErrUnsupported) {
+		t.Fatalf("Castle.RunContext grouped SUM(a*b): want ErrUnsupported, got %v", err)
 	}
 }

@@ -60,7 +60,12 @@ type placedBooks struct {
 	capeCycles int64
 	cpuCycles  int64
 	stream     StreamStats
-	breakdown  *telemetry.Breakdown
+	// parallel is the fact stage's fan-out profile; split runs report their
+	// lanes' work the way the single-device executors do.
+	parallel ParallelStats
+	// tail is the device the aggregation tail ran on.
+	tail      plan.Device
+	breakdown *telemetry.Breakdown
 }
 
 // NewPlaced couples the two single-device executors into a placed-pipeline
@@ -78,21 +83,19 @@ func NewPlaced(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Placed {
 // RunContext; an in-flight run keeps the degree it observed at entry.
 func (x *Placed) SetParallelism(k int) { x.par.Store(int32(k)) }
 
-// SetStreaming toggles the pull-based batch pipeline for subsequent mixed
-// runs. Uniform placements are unaffected here (the single-device executors
-// own their streaming switches). Safe to call concurrently with RunContext;
-// an in-flight run keeps the mode it observed at entry.
+// SetStreaming toggles the pull-based batch pipeline for subsequent runs.
+// Safe to call concurrently with RunContext; an in-flight run keeps the
+// mode it observed at entry.
 func (x *Placed) SetStreaming(on bool) { x.streaming.Store(on) }
 
 // StreamStats returns the last run's streaming summary: batches produced,
 // transfer cycles hidden under compute, and peak resident batch bytes. All
 // zero for materializing runs and before the first run.
 func (x *Placed) StreamStats() StreamStats {
-	b := x.last.Load()
-	if b == nil {
-		return StreamStats{}
+	if b := x.last.Load(); b != nil {
+		return b.stream
 	}
-	return b.stream
+	return StreamStats{}
 }
 
 // SetTelemetry attaches a telemetry sink and parent span for subsequent
@@ -109,21 +112,19 @@ func (x *Placed) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) 
 // explicit "xfer:" rows, and the rows partition the combined two-device
 // total exactly. Returns a copy; nil before the first run.
 func (x *Placed) Breakdown() *telemetry.Breakdown {
-	b := x.last.Load()
-	if b == nil {
-		return nil
+	if b := x.last.Load(); b != nil {
+		return b.breakdown.Clone()
 	}
-	return b.breakdown.Clone()
+	return nil
 }
 
 // DeviceCycles returns the last run's per-device cycle split (CAPE, CPU);
 // both zero before the first run.
 func (x *Placed) DeviceCycles() (int64, int64) {
-	b := x.last.Load()
-	if b == nil {
-		return 0, 0
+	if b := x.last.Load(); b != nil {
+		return b.capeCycles, b.cpuCycles
 	}
-	return b.capeCycles, b.cpuCycles
+	return 0, 0
 }
 
 // Run executes a placed plan. See RunContext.
@@ -140,19 +141,67 @@ func (x *Placed) Run(pp *plan.PlacedPlan, db *storage.Database) (*Result, error)
 // devices' advances: the tail consumes the fact stage's output, so the
 // phases serialize across the boundary.
 func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
+	res, _, err := x.run(ctx, pp, db, nil)
+	return res, err
+}
+
+// run executes pp. Static uniform placements delegate to the owning
+// single-device executor; everything else runs the split pipeline —
+// dimension builds and the fused fact stage on the fact device, then, after
+// the adaptive checkpoint when adapt is set, the aggregation tail on its
+// device.
+func (x *Placed) run(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	adapt *AdaptiveOptions) (*Result, AdaptiveStats, error) {
+
+	var ast AdaptiveStats
+	if adapt != nil {
+		ast = AdaptiveStats{EstSurvivors: adapt.EstSurvivors, TailDevice: pp.AggDevice()}
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := pp.Validate(); err != nil {
-		return nil, err
+		return nil, ast, err
 	}
-	if dev, uniform := pp.Uniform(); uniform {
-		return x.runUniform(ctx, pp, db, dev)
+	if dev, uniform := pp.Uniform(); uniform && adapt == nil {
+		res, err := x.runUniform(ctx, pp, db, dev)
+		return res, ast, err
 	}
+
+	q := pp.Phys.Query
+	eng, cpu := x.castle.eng, x.cpu.cpu
+	capeStart, cpuStart := eng.TotalCycles(), cpu.Cycles()
+	bk := newPlacedBreakdown()
+	streaming := adapt == nil && x.streaming.Load()
+	var fs *factOutput
+	var err error
 	if pp.FactDevice() == plan.DeviceCAPE {
-		return x.runCAPEFactCPUAgg(ctx, pp, db)
+		fs, err = x.runCAPEFact(ctx, pp, db, bk, streaming)
+	} else {
+		fs, err = x.runCPUFact(ctx, pp, db, bk, streaming)
 	}
-	return x.runCPUFactCAPEAgg(ctx, pp, db)
+	if err != nil {
+		return nil, ast, err
+	}
+	// A static split run aggregates on the device opposite its fact stage,
+	// even when only a dimension build crossed and the plan kept the tail
+	// on the fact device; the checkpoint starts from the planned tail.
+	tail := plan.DeviceCAPE
+	if pp.FactDevice() == plan.DeviceCAPE {
+		tail = plan.DeviceCPU
+	}
+	if adapt != nil {
+		tail = ast.checkpoint(*adapt, q, fs.ships)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, ast, err
+	}
+	acc, err := x.runTail(ctx, q, db.MustTable(q.Fact), tail, fs, bk)
+	if err != nil {
+		return nil, ast, err
+	}
+	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, fs, tail)
+	return acc.result(q), ast, nil
 }
 
 // runUniform delegates a single-device placement to the owning executor and
@@ -177,13 +226,16 @@ func (x *Placed) runUniform(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	books := &placedBooks{
 		capeCycles: x.castle.eng.TotalCycles() - capeStart,
 		cpuCycles:  x.cpu.cpu.Cycles() - cpuStart,
+		tail:       dev,
 	}
 	if dev == plan.DeviceCPU {
 		books.breakdown = x.cpu.Breakdown()
 		books.stream = x.cpu.StreamStats()
+		books.parallel = x.cpu.ParallelStats()
 	} else {
 		books.breakdown = x.castle.Breakdown()
 		books.stream = x.castle.StreamStats()
+		books.parallel = x.castle.ParallelStats()
 	}
 	x.last.Store(books)
 	return res, nil
@@ -203,13 +255,25 @@ func (b *placedBreakdown) row(op, dev string, cycles, rows int64) {
 	b.ops = append(b.ops, telemetry.OperatorStats{Operator: op, Device: dev, Cycles: cycles, Rows: rows})
 }
 
-// publish closes a mixed run's books: the operator rows plus an explicit
+// lanes emits one "sweep[t]" row per fact-stage lane plus the negative
+// "parallel-overlap" credit for the work hidden under the critical lane,
+// and returns the fan-out profile (publish fills in the elapsed views).
+func (b *placedBreakdown) lanes(dev string, cycles, rows []int64) ParallelStats {
+	for t, cy := range cycles {
+		b.row(fmt.Sprintf("sweep[%d]", t), dev, cy, rows[t])
+	}
+	b.row("parallel-overlap", dev, -overlapHidden(cycles), -1)
+	return ParallelStats{Tiles: len(cycles), TileCycles: cycles, TileRows: rows}
+}
+
+// publish closes a split run's books: the operator rows plus an explicit
 // "overhead" remainder partition the total exactly. For streaming runs the
 // total is the elapsed view — both devices' work minus the transfer cycles
 // that hid under the next batch's compute — and the hidden portion appears
 // as an explicit negative "xfer-overlap" credit row so the rows still
 // partition TotalCycles exactly.
-func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, stream StreamStats) {
+func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, fs *factOutput, tail plan.Device) {
+	stream := fs.stream
 	if stream.OverlapCycles != 0 {
 		bk.row("xfer-overlap", "CAPE+CPU", -stream.OverlapCycles, -1)
 	}
@@ -220,10 +284,15 @@ func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, strea
 	}
 	bk.ops = append(bk.ops, telemetry.OperatorStats{
 		Operator: "overhead", Device: "CAPE+CPU", Cycles: total - covered, Rows: -1})
+	ps := fs.parallel
+	ps.ElapsedCycles = total
+	ps.WorkCycles = total + overlapHidden(ps.TileCycles)
 	x.last.Store(&placedBooks{
 		capeCycles: capeCycles,
 		cpuCycles:  cpuCycles,
 		stream:     stream,
+		parallel:   ps,
+		tail:       tail,
 		breakdown:  &telemetry.Breakdown{Device: "CAPE+CPU", Operators: bk.ops, TotalCycles: total},
 	})
 }
@@ -241,24 +310,94 @@ func shipTailCols(q *plan.Query) (attrKeys []string, cols int) {
 	return attrKeys, 1 + len(attrKeys)
 }
 
+// factOutput is what a split run's fact stage hands its aggregation tail.
+type factOutput struct {
+	shipCols int
+	// ships holds each lane's survivor tuples when the stage materializes.
+	ships []*Batch
+	// consumers holds each lane's CPU-tail consumer when a CAPE fact stage
+	// streams: every batch was folded the moment it landed.
+	consumers []*cpuAggConsumer
+	// acc and aggCycles carry the CAPE tail a streaming CPU fact stage
+	// already folded batch by batch (acc is nil otherwise).
+	acc       *groupAcc
+	aggCycles int64
+
+	stream   StreamStats
+	parallel ParallelStats
+}
+
+// runTail runs the aggregation tail on dev over the fact stage's output and
+// records its "aggregate" row. A CPU tail folds the survivor tuples (or
+// merges the streamed lane accumulators in fixed lane order) and pays the
+// bulk hash-aggregation charge once, so streamed and materialized CPU
+// cycles match exactly; a CAPE tail loads each lane's shipment into the CSB
+// in MAXVL chunks and runs Algorithm 2 over each chunk.
+func (x *Placed) runTail(ctx context.Context, q *plan.Query, fact *storage.Table, dev plan.Device,
+	fs *factOutput, bk *placedBreakdown) (*groupAcc, error) {
+
+	spa := x.parent.Child("aggregate")
+	defer spa.End()
+	acc := fs.acc
+	var cycles int64
+	switch {
+	case dev == plan.DeviceCPU:
+		cpu := x.cpu.cpu
+		a0 := cpu.Cycles()
+		acc = newGroupAcc(q.Aggs)
+		cons := newCPUAggConsumer(q, fact, acc)
+		for _, lane := range fs.consumers {
+			acc.merge(lane.acc)
+			cons.matched += lane.matched
+		}
+		for _, ship := range fs.ships {
+			if err := cons.consume(ctx, ship); err != nil {
+				return nil, err
+			}
+		}
+		cons.charge(cpu, fs.shipCols, acc, cons.matched)
+		cycles = cpu.Cycles() - a0
+		spa.SetInt("rows", cons.matched)
+	case acc == nil:
+		eng := x.castle.eng
+		a0 := eng.TotalCycles()
+		acc = newGroupAcc(q.Aggs)
+		if err := x.capeAggregateShipments(ctx, q, fact, fs.ships, acc); err != nil {
+			return nil, err
+		}
+		cycles = eng.TotalCycles() - a0
+	default:
+		cycles = fs.aggCycles
+	}
+	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
+		acc.add(nil, make([]int64, len(q.Aggs)), 0)
+	}
+	bk.row("aggregate", dev.String(), cycles, int64(len(acc.order)))
+	spa.SetInt("cycles", cycles)
+	spa.SetInt("groups", int64(len(acc.order)))
+	return acc, nil
+}
+
 // ---------------------------------------------------------------------------
-// CAPE fact stage -> CPU aggregation tail (the paper's hybrid direction:
-// selective fact filtering on the AP, high-cardinality aggregation on the
-// CPU).
+// CAPE fact stage (the paper's hybrid direction: selective fact filtering
+// on the AP, high-cardinality aggregation on the CPU).
 // ---------------------------------------------------------------------------
 
-func (x *Placed) runCAPEFactCPUAgg(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
+// runCAPEFact runs the dimension builds and the fused Scan+Filter+JoinProbe
+// stage with CAPE as the fact device. Every lane — the primary engine when
+// K is 1, one forked tile each otherwise — pulls its MAXVL partitions
+// through one capeFactSource loop: streaming lanes fold each batch into
+// their CPU-tail consumer as it lands, materializing lanes append it to one
+// shipment per lane.
+func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	bk *placedBreakdown, streaming bool) (*factOutput, error) {
+
 	p := pp.Phys
 	q := p.Query
 	eng := x.castle.eng
 	cpu := x.cpu.cpu
 	cfg := eng.Config()
 	camCapable := cfg.EnableADL
-
-	capeStart := eng.TotalCycles()
-	cpuStart := cpu.Cycles()
-	bk := newPlacedBreakdown()
-
 	if camCapable {
 		eng.SetLayout(cape.CAMMode)
 	}
@@ -304,244 +443,111 @@ func (x *Placed) runCAPEFactCPUAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 	fact := db.MustTable(q.Fact)
 	factRows := fact.Rows()
 	maxvl := cfg.MAXVL
-	parts := (factRows + maxvl - 1) / maxvl
-	k := int(x.par.Load())
-	if k < 1 || parts < 1 {
-		k = 1
-	}
-	if k > parts && parts > 0 {
-		k = parts
-	}
-
+	k := fanOut(int(x.par.Load()), (factRows+maxvl-1)/maxvl)
 	attrKeys, shipCols := shipTailCols(q)
-	streaming := x.streaming.Load()
+	fs := &factOutput{shipCols: shipCols}
 	sweep := x.parent.Child("fact-sweep")
 	sweepStart := eng.TotalCycles()
-	ships := make([]*Batch, k)
 
-	// The accumulator and its consumer exist up front so the streaming path
-	// can fold each batch the moment it lands; the materializing path feeds
-	// the same consumer with whole-lane batches at the end. Either way the
-	// bulk CPU charge at the tail is computed from identical totals, so the
-	// two paths' CPU cycles match exactly.
-	acc := newGroupAcc(q.Aggs)
-	cons := newCPUAggConsumer(q, fact, acc)
-	var laneAccs []*groupAcc
-	var laneCons []*cpuAggConsumer
-	var stream StreamStats
-	laneRows := make([]int64, k)
-
+	srcs := make([]*capeFactSource, k)
+	newSource := func(lane int, s *tileSweep) *capeFactSource {
+		return &capeFactSource{s: s, p: p, db: db, dims: dims,
+			attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
+			factRows: factRows, maxvl: maxvl, next: lane, stride: k, ch: &xferChannel{}}
+	}
+	var group *cape.TileGroup
 	if k == 1 {
-		s := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep}
-		if streaming {
-			ch := &xferChannel{}
-			src := &capeFactSource{s: s, p: p, db: db, dims: dims,
-				attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
-				factRows: factRows, maxvl: maxvl, next: 0, stride: 1, ch: ch}
-			for {
-				b, err := src.Next(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				if err := cons.consume(ctx, b); err != nil {
-					return nil, err
-				}
-			}
-			stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
-			bk.row("filter", "CAPE", s.filterCycles, int64(factRows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", ch.xferCycles, cons.matched)
-		} else {
-			ships[0] = NewBatch(0, attrKeys)
-			var exportCycles int64
-			for base := 0; base < factRows; base += maxvl {
-				vl := factRows - base
-				if vl > maxvl {
-					vl = maxvl
-				}
-				rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-				if err != nil {
-					return nil, err
-				}
-				e0 := eng.TotalCycles()
-				exportSurvivors(eng, ships[0], rowMask, base, attrKeys, attrRegs, shipCols)
-				exportCycles += eng.TotalCycles() - e0
-				if camCapable {
-					eng.SetLayout(cape.CAMMode)
-				}
-			}
-			bk.row("filter", "CAPE", s.filterCycles, int64(factRows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", exportCycles, int64(len(ships[0].Rows)))
-		}
+		srcs[0] = newSource(0, &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep})
 	} else {
-		group := eng.Fork(k)
-		sweeps := make([]*tileSweep, k)
+		group = eng.Fork(k)
 		for i, t := range group.Tiles() {
 			if x.tel != nil {
 				AttachEngineTelemetry(t, x.tel)
 			}
-			sweeps[i] = &tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
+			srcs[i] = newSource(i, &tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
 				perJoin: make(map[string]int64, len(p.Joins)),
-				span:    sweep.Child(fmt.Sprintf("tile%d", i))}
+				span:    sweep.Child(fmt.Sprintf("tile%d", i))})
 		}
-		var chans []*xferChannel
+	}
+	if streaming {
+		fs.consumers = make([]*cpuAggConsumer, k)
+		for i := range fs.consumers {
+			fs.consumers[i] = newCPUAggConsumer(q, fact, newGroupAcc(q.Aggs))
+		}
+	} else {
+		fs.ships = make([]*Batch, k)
+		for i := range fs.ships {
+			fs.ships[i] = NewBatch(0, attrKeys)
+		}
+	}
+	err := runLanes(k, func(lane int) error {
+		src := srcs[lane]
+		if k > 1 {
+			defer src.s.span.End()
+		}
+		for {
+			b, err := src.Next(ctx)
+			if err != nil || b == nil {
+				return err
+			}
+			if !streaming {
+				fs.ships[lane].append(b)
+			} else if err := fs.consumers[lane].consume(ctx, b); err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	if k == 1 {
+		src := srcs[0]
+		bk.row("filter", "CAPE", src.s.filterCycles, int64(factRows))
+		for _, e := range p.Joins {
+			bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
+		}
+		bk.row("xfer:aggregate", "CAPE+CPU", src.ch.xferCycles, src.rowsOut)
+		fs.parallel = ParallelStats{Tiles: 1}
 		if streaming {
-			chans = make([]*xferChannel, k)
-			laneAccs = make([]*groupAcc, k)
-			laneCons = make([]*cpuAggConsumer, k)
-			for i := range chans {
-				chans[i] = &xferChannel{}
-				laneAccs[i] = newGroupAcc(q.Aggs)
-				laneCons[i] = newCPUAggConsumer(q, fact, laneAccs[i])
-			}
-		} else {
-			for i := range sweeps {
-				ships[i] = NewBatch(0, attrKeys)
-			}
+			fs.stream = StreamStats{Batches: src.ch.batches, OverlapCycles: src.ch.credit, PeakBatchBytes: src.ch.peakBytes}
 		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				if streaming {
-					src := &capeFactSource{s: s, p: p, db: db, dims: dims,
-						attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
-						factRows: factRows, maxvl: maxvl, next: ti, stride: k, ch: chans[ti]}
-					for {
-						b, err := src.Next(ctx)
-						if err != nil {
-							errs[ti] = err
-							return
-						}
-						if b == nil {
-							break
-						}
-						if err := laneCons[ti].consume(ctx, b); err != nil {
-							errs[ti] = err
-							return
-						}
-					}
-					laneRows[ti] = src.rowsIn
-					return
-				}
-				for pi := ti; pi < parts; pi += k {
-					base := pi * maxvl
-					vl := factRows - base
-					if vl > maxvl {
-						vl = maxvl
-					}
-					rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-					if err != nil {
-						errs[ti] = err
-						return
-					}
-					exportSurvivors(s.eng, ships[ti], rowMask, base, attrKeys, attrRegs, shipCols)
-					if camCapable {
-						s.eng.SetLayout(cape.CAMMode)
-					}
-					laneRows[ti] += int64(vl)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	} else {
 		// Elapsed advances by the critical tile; per-tile work (including
 		// each tile's export charges) shows as sweep rows with the hidden
 		// overlap credited back, as in the single-device executors.
 		tileCycles := group.Merge()
-		var sum, max int64
-		for t, cy := range tileCycles {
-			bk.row(fmt.Sprintf("sweep[%d]", t), "CAPE", cy, laneRows[t])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
-		}
-		bk.row("parallel-overlap", "CAPE", max-sum, -1)
-		for _, s := range sweeps {
-			for d, cy := range s.perJoin {
+		rows := make([]int64, k)
+		credits := make([]int64, k)
+		for i, src := range srcs {
+			rows[i] = src.rowsIn
+			credits[i] = src.ch.credit
+			for d, cy := range src.s.perJoin {
 				bk.perJoin[d] += cy
 			}
 		}
+		fs.parallel = bk.lanes("CAPE", tileCycles, rows)
 		if streaming {
 			// The run-level credit is bounded by the critical lane: the tiles
 			// already overlap each other, so only the transfer cycles that
 			// shorten the critical path count.
-			credits := make([]int64, k)
-			for i, ch := range chans {
-				credits[i] = ch.credit
-				stream.Batches += ch.batches
-				stream.PeakBatchBytes += ch.peakBytes
+			for _, src := range srcs {
+				fs.stream.Batches += src.ch.batches
+				fs.stream.PeakBatchBytes += src.ch.peakBytes
 			}
-			stream.OverlapCycles = overlapElapsedCredit(tileCycles, credits)
+			fs.stream.OverlapCycles = overlapElapsedCredit(tileCycles, credits)
 		}
 	}
 	sweep.SetInt("cycles", eng.TotalCycles()-sweepStart)
 	sweep.SetInt("tiles", int64(k))
 	sweep.End()
-
-	// --- Aggregation tail on the CPU's primary core: lanes consumed in
-	// fixed order, per-row hash aggregation with the cpu_aggregate charge
-	// model over the shipped tuples plus the fact columns they reference.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spa := x.parent.Child("aggregate")
-	a0 := cpu.Cycles()
-	var matched int64
-	if streaming {
-		// Batches were folded as they streamed (per-lane accumulators when
-		// fanned out, merged here in fixed lane order); the deferred bulk
-		// charge prices the identical totals the materializing path would,
-		// so CPU cycles match it exactly.
-		for i, la := range laneAccs {
-			acc.merge(la)
-			cons.matched += laneCons[i].matched
-		}
-		matched = cons.matched
-		cons.charge(cpu, shipCols, acc, matched)
-	} else {
-		var err error
-		matched, err = cpuAggregateShipments(ctx, cpu, q, fact, ships, acc, shipCols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-		acc.add(nil, make([]int64, len(q.Aggs)), 0)
-	}
-	aggCycles := cpu.Cycles() - a0
-	bk.row("aggregate", "CPU", aggCycles, int64(len(acc.order)))
-	spa.SetInt("cycles", aggCycles)
-	spa.SetInt("rows", matched)
-	spa.SetInt("groups", int64(len(acc.order)))
-	spa.End()
-
-	res := acc.result(q)
-	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, stream)
-	return res, nil
+	return fs, nil
 }
 
-// capeFactSource is the CAPE-side batch producer for one lane of a streaming
-// mixed run: each Next runs the fused Scan+Filter+JoinProbe kernels over the
-// lane's next MAXVL partition, exports the survivors as a batch, and records
-// the (compute, transfer) split into the lane's double-buffered channel.
+// capeFactSource is the CAPE-side batch producer for one fact-stage lane:
+// each Next runs the fused Scan+Filter+JoinProbe kernels over the lane's
+// next MAXVL partition, exports the survivors as a batch, and records the
+// (compute, transfer) split into the lane's double-buffered channel.
 type capeFactSource struct {
 	s          *tileSweep
 	p          *plan.Physical
@@ -556,8 +562,9 @@ type capeFactSource struct {
 	next     int // partition index of the next batch
 	stride   int // partition stride between this lane's batches
 
-	ch     *xferChannel
-	rowsIn int64
+	ch      *xferChannel
+	rowsIn  int64 // fact rows swept
+	rowsOut int64 // survivors exported
 }
 
 func (src *capeFactSource) Next(ctx context.Context) (*Batch, error) {
@@ -588,6 +595,7 @@ func (src *capeFactSource) Next(ctx context.Context) (*Batch, error) {
 	}
 	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
 	src.rowsIn += int64(vl)
+	src.rowsOut += int64(b.Len())
 	src.next += src.stride
 	return b, nil
 }
@@ -737,40 +745,25 @@ func (cc *cpuAggConsumer) charge(cpu *baseline.CPU, shipCols int, acc *groupAcc,
 	}
 }
 
-// cpuAggregateShipments is the materializing tail: every lane's survivor
-// tuples fold into acc in fixed lane order, then the bulk charge is paid.
-func cpuAggregateShipments(ctx context.Context, cpu *baseline.CPU, q *plan.Query,
-	fact *storage.Table, ships []*Batch, acc *groupAcc, shipCols int) (int64, error) {
-
-	cons := newCPUAggConsumer(q, fact, acc)
-	for _, ship := range ships {
-		if ship == nil {
-			continue
-		}
-		if err := cons.consume(ctx, ship); err != nil {
-			return 0, err
-		}
-	}
-	cons.charge(cpu, shipCols, acc, cons.matched)
-	return cons.matched, nil
-}
-
 // ---------------------------------------------------------------------------
-// CPU fact stage -> CAPE aggregation tail (the reverse crossing; rarely
-// chosen by the cost model but fully supported, and exercised by the
-// forced-placement differential columns).
+// CPU fact stage (the reverse crossing; rarely chosen by the cost model but
+// fully supported, and exercised by the forced-placement differential
+// columns).
 // ---------------------------------------------------------------------------
 
-func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
+// runCPUFact runs the dimension builds and the filter+probe fact stage with
+// the CPU as the fact device. Materializing lanes gather their survivors
+// into one shipment each; streaming lanes feed every chunk straight into
+// the CAPE aggregation tail, whose layout and hash tables are set up once
+// before the first chunk.
+func (x *Placed) runCPUFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	bk *placedBreakdown, streaming bool) (*factOutput, error) {
+
 	p := pp.Phys
 	q := p.Query
 	eng := x.castle.eng
 	cpu := x.cpu.cpu
 	camCapable := eng.Config().EnableADL
-
-	capeStart := eng.TotalCycles()
-	cpuStart := cpu.Cycles()
-	bk := newPlacedBreakdown()
 
 	// --- DimBuild per edge; CAPE-built dimensions ship their values arrays
 	// to the CPU.
@@ -815,40 +808,26 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 	// tuples.
 	fact := db.MustTable(q.Fact)
 	rows := fact.Rows()
-	k := int(x.par.Load())
-	if k < 1 {
-		k = 1
-	}
-	if k > rows {
-		k = rows
-	}
-	if k < 1 {
-		k = 1
-	}
-
+	k := fanOut(int(x.par.Load()), rows)
 	attrKeys, shipCols := shipTailCols(q)
-	streaming := x.streaming.Load()
 	maxvl := eng.Config().MAXVL
+	fs := &factOutput{shipCols: shipCols, parallel: ParallelStats{Tiles: k}}
 	sweep := x.parent.Child("fact-sweep")
 	sweepStart := cpu.Cycles()
-	ships := make([]*Batch, k)
-
-	acc := newGroupAcc(q.Aggs)
-	var stream StreamStats
-	var aggCycles int64 // CAPE consumption cycles accumulated by the streaming path
-	laneRows := make([]int64, k)
+	if !streaming {
+		fs.ships = make([]*Batch, k)
+	}
 
 	// Streaming consumes each batch into the CAPE tail the moment it lands,
 	// so the aggregation layout must be pinned before the first batch (the
 	// CPU-side producer never touches the engine between chunks), and the
 	// hash tables build once up front — probing chunk by chunk would
 	// otherwise rebuild them per batch.
-	var streamTS *tileSweep
 	if streaming {
+		fs.acc = newGroupAcc(q.Aggs)
 		a0 := eng.TotalCycles()
-		x.setAggLayout(q, camCapable)
-		aggCycles += eng.TotalCycles() - a0
-		streamTS = &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: acc}
+		x.setAggLayout(q)
+		fs.aggCycles += eng.TotalCycles() - a0
 	}
 
 	if k == 1 {
@@ -858,6 +837,7 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 			if err != nil {
 				return nil, err
 			}
+			ts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: fs.acc}
 			ch := &xferChannel{}
 			src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
 				attrKeys: attrKeys, shipCols: shipCols, base: 0, end: rows, step: maxvl, ch: ch}
@@ -872,12 +852,12 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 				}
 				if b.Len() > 0 {
 					a0 := eng.TotalCycles()
-					x.capeAggregateChunk(q, fact, b, 0, b.Len(), streamTS)
-					aggCycles += eng.TotalCycles() - a0
+					x.capeAggregateChunk(q, fact, b, 0, b.Len(), ts)
+					fs.aggCycles += eng.TotalCycles() - a0
 					matched += int64(b.Len())
 				}
 			}
-			stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
+			fs.stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
 			bk.row("filter", "CPU", s.filterCycles, int64(rows))
 			for _, e := range p.Joins {
 				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
@@ -889,12 +869,12 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 				return nil, err
 			}
 			x0 := cpu.Cycles()
-			ships[0] = gatherCPUSurvivors(cpu, sel, attrCols, attrKeys, 0, rows, shipCols)
+			fs.ships[0] = gatherCPUSurvivors(cpu, sel, attrCols, attrKeys, 0, rows, shipCols)
 			bk.row("filter", "CPU", s.filterCycles, int64(rows))
 			for _, e := range p.Joins {
 				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
 			}
-			bk.row("xfer:aggregate", "CAPE+CPU", cpu.Cycles()-x0, int64(len(ships[0].Rows)))
+			bk.row("xfer:aggregate", "CAPE+CPU", cpu.Cycles()-x0, int64(len(fs.ships[0].Rows)))
 		}
 	} else {
 		// Hash tables build once on the primary core, as in CPUExec.
@@ -926,69 +906,48 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 				laneAccs[i] = newGroupAcc(q.Aggs)
 			}
 		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			base, end := i*rows/k, (i+1)*rows/k
-			wg.Add(1)
-			go func(ti, base, end int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				if streaming {
-					// The tail's engine is shared: lanes serialize chunk
-					// consumption under a mutex into per-lane accumulators
-					// (merged in lane order below), so the engine's additive
-					// charges and the results stay deterministic.
-					lts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: laneAccs[ti]}
-					src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
-						attrKeys: attrKeys, shipCols: shipCols, base: base, end: end, step: maxvl, ch: chans[ti]}
-					for {
-						b, err := src.Next(ctx)
-						if err != nil {
-							errs[ti] = err
-							return
-						}
-						if b == nil {
-							break
-						}
-						if b.Len() > 0 {
-							engMu.Lock()
-							a0 := eng.TotalCycles()
-							x.capeAggregateChunk(q, fact, b, 0, b.Len(), lts)
-							laneAgg[ti] += eng.TotalCycles() - a0
-							engMu.Unlock()
-						}
-					}
-					laneRows[ti] = src.rowsIn
-					return
-				}
+		laneRows := make([]int64, k)
+		err = runLanes(k, func(ti int) error {
+			s := sweeps[ti]
+			defer s.span.End()
+			base, end := ti*rows/k, (ti+1)*rows/k
+			laneRows[ti] = int64(end - base)
+			if !streaming {
 				sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, tables, base, end)
 				if err != nil {
-					errs[ti] = err
-					return
+					return err
 				}
-				ships[ti] = gatherCPUSurvivors(s.cpu, sel, attrCols, attrKeys, base, end, shipCols)
-				laneRows[ti] = int64(end - base)
-			}(i, base, end)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+				fs.ships[ti] = gatherCPUSurvivors(s.cpu, sel, attrCols, attrKeys, base, end, shipCols)
+				return nil
 			}
+			// The tail's engine is shared: lanes serialize chunk consumption
+			// under a mutex into per-lane accumulators (merged in lane order
+			// below), so the engine's additive charges and the results stay
+			// deterministic.
+			lts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: laneAccs[ti]}
+			src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
+				attrKeys: attrKeys, shipCols: shipCols, base: base, end: end, step: maxvl, ch: chans[ti]}
+			for {
+				b, err := src.Next(ctx)
+				if err != nil || b == nil {
+					return err
+				}
+				if b.Len() > 0 {
+					engMu.Lock()
+					a0 := eng.TotalCycles()
+					x.capeAggregateChunk(q, fact, b, 0, b.Len(), lts)
+					laneAgg[ti] += eng.TotalCycles() - a0
+					engMu.Unlock()
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		var maxRaw float64
-		var sum, max int64
 		laneCycles := make([]int64, k)
 		for i, s := range sweeps {
-			cy := s.cpu.Cycles()
-			laneCycles[i] = cy
-			bk.row(fmt.Sprintf("sweep[%d]", i), "CPU", cy, laneRows[i])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
+			laneCycles[i] = s.cpu.Cycles()
 			if raw := s.cpu.RawCycles(); raw > maxRaw {
 				maxRaw = raw
 			}
@@ -996,7 +955,7 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 				bk.perJoin[d] += cyj
 			}
 		}
-		bk.row("parallel-overlap", "CPU", max-sum, -1)
+		fs.parallel = bk.lanes("CPU", laneCycles, laneRows)
 		cpu.AbsorbElapsed(maxRaw)
 		for _, core := range cores {
 			cpu.AbsorbTraffic(core)
@@ -1005,51 +964,22 @@ func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 			credits := make([]int64, k)
 			for i, ch := range chans {
 				credits[i] = ch.credit
-				stream.Batches += ch.batches
-				stream.PeakBatchBytes += ch.peakBytes
+				fs.stream.Batches += ch.batches
+				fs.stream.PeakBatchBytes += ch.peakBytes
 			}
-			stream.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
+			fs.stream.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
 			// Merge the per-lane accumulators in fixed lane order — the same
 			// consumption order the materializing tail uses.
-			for _, la := range laneAccs {
-				acc.merge(la)
-			}
-			for _, cy := range laneAgg {
-				aggCycles += cy
+			for i, la := range laneAccs {
+				fs.acc.merge(la)
+				fs.aggCycles += laneAgg[i]
 			}
 		}
 	}
 	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
 	sweep.SetInt("cores", int64(k))
 	sweep.End()
-
-	// --- Aggregation tail on the CAPE primary engine: shipped tuples load
-	// into the CSB in MAXVL chunks (the loads' stream reads bill the
-	// transfer's read side) and Algorithm 2 runs over each chunk. The
-	// streaming path already consumed every batch above; only the close-out
-	// remains.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spa := x.parent.Child("aggregate")
-	if !streaming {
-		a0 := eng.TotalCycles()
-		if err := x.capeAggregateShipments(ctx, q, fact, ships, acc, camCapable); err != nil {
-			return nil, err
-		}
-		aggCycles = eng.TotalCycles() - a0
-	}
-	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-		acc.add(nil, make([]int64, len(q.Aggs)), 0)
-	}
-	bk.row("aggregate", "CAPE", aggCycles, int64(len(acc.order)))
-	spa.SetInt("cycles", aggCycles)
-	spa.SetInt("groups", int64(len(acc.order)))
-	spa.End()
-
-	res := acc.result(q)
-	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, stream)
-	return res, nil
+	return fs, nil
 }
 
 // buildShipTables builds the probe-side hash tables once on the primary
@@ -1092,8 +1022,7 @@ type cpuFactSource struct {
 
 	base, end, step int
 
-	ch     *xferChannel
-	rowsIn int64
+	ch *xferChannel
 }
 
 func (src *cpuFactSource) Next(ctx context.Context) (*Batch, error) {
@@ -1118,7 +1047,6 @@ func (src *cpuFactSource) Next(ctx context.Context) (*Batch, error) {
 	b := gatherCPUSurvivors(core, sel, attrCols, src.attrKeys, lo, hi, src.shipCols)
 	xfer := core.Cycles() - x0
 	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
-	src.rowsIn += int64(hi - lo)
 	src.base = hi
 	return b, nil
 }
@@ -1154,25 +1082,18 @@ func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[stri
 	return b
 }
 
-// setAggLayout pins the CSB layout the CAPE aggregation tail needs:
-// GP mode when a vector-vector arithmetic aggregate must run, CAM mode
-// otherwise. Grouped vv-arithmetic is outside the supported shape.
-func (x *Placed) setAggLayout(q *plan.Query, camCapable bool) {
-	needGPArith := false
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			needGPArith = true
-		}
+// setAggLayout pins the CSB layout the CAPE aggregation tail needs: GP mode
+// when a vector-vector arithmetic aggregate must run, CAM mode otherwise.
+// PlacedPlan.Validate keeps grouped vv arithmetic off CAPE.
+func (x *Placed) setAggLayout(q *plan.Query) {
+	eng := x.castle.eng
+	if !eng.Config().EnableADL {
+		return
 	}
-	if needGPArith && len(q.GroupBy) > 0 {
-		panic("exec: GROUP BY with vv-arithmetic aggregates is outside SSB's shape")
-	}
-	if camCapable {
-		if needGPArith {
-			x.castle.eng.SetLayout(cape.GPMode)
-		} else {
-			x.castle.eng.SetLayout(cape.CAMMode)
-		}
+	if q.HasSumMul() {
+		eng.SetLayout(cape.GPMode)
+	} else {
+		eng.SetLayout(cape.CAMMode)
 	}
 }
 
@@ -1181,20 +1102,17 @@ func (x *Placed) setAggLayout(q *plan.Query, camCapable bool) {
 // into the CSB in MAXVL chunks as gathered columns, and folded with the
 // exact instruction billing of the on-device Algorithm 2 loop.
 func (x *Placed) capeAggregateShipments(ctx context.Context, q *plan.Query, fact *storage.Table,
-	ships []*Batch, acc *groupAcc, camCapable bool) error {
+	ships []*Batch, acc *groupAcc) error {
 
 	eng := x.castle.eng
 	maxvl := eng.Config().MAXVL
 
-	x.setAggLayout(q, camCapable)
+	x.setAggLayout(q)
 	// The charged loop helpers live on tileSweep; borrow one bound to the
 	// primary engine.
 	ts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: acc}
 
 	for _, ship := range ships {
-		if ship == nil {
-			continue
-		}
 		for lo := 0; lo < len(ship.Rows); lo += maxvl {
 			if err := ctx.Err(); err != nil {
 				return err

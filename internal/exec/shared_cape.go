@@ -55,10 +55,8 @@ func CAPESharedEligible(plans []*plan.Physical, cfg cape.Config) error {
 		return err
 	}
 	for i, p := range plans {
-		for _, a := range p.Query.Aggs {
-			if a.Kind == plan.AggSumMul {
-				return fmt.Errorf("exec: shared CAPE sweep: member %d needs GP-mode arithmetic (%s)", i, a)
-			}
+		if p.Query.HasSumMul() {
+			return fmt.Errorf("exec: shared CAPE sweep: member %d needs GP-mode SUM(a*b) arithmetic", i)
 		}
 	}
 	union := len(ss.SharedColumns())

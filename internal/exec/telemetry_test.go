@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/isa"
+	"castle/internal/plan"
 	"castle/internal/ssb"
 	"castle/internal/telemetry"
 )
@@ -234,8 +236,9 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	}
 }
 
-// TestHybridTelemetryForwards: the hybrid wrapper forwards the sink to both
-// executors so whichever engine runs emits the same span vocabulary.
+// TestHybridTelemetryForwards: the driver forwards the sink to whichever
+// executor the whole-query router picks, so both engines emit the same span
+// vocabulary.
 func TestHybridTelemetryForwards(t *testing.T) {
 	database, cat := db(t)
 	q := bindQuery(t, database, ssbQ4SQL(t))
@@ -243,22 +246,19 @@ func TestHybridTelemetryForwards(t *testing.T) {
 	p := optimize(t, q, cat, cfg.MAXVL)
 
 	tel := telemetry.New()
-	h := NewDefaultHybrid(cfg, cat)
-	AttachEngineTelemetry(h.Castle().Engine(), tel)
-	AttachCPUTelemetry(h.CPUExec().CPU(), tel)
 	root := tel.StartSpan("query")
-	h.SetTelemetry(tel, root)
-	_, dev := h.Run(p, database)
+	dev := DecideDevice(p, cat, 0, 0)
+	out, err := Execute(context.Background(), plan.Compile(p, dev), database,
+		RunOptions{CAPE: cfg, Catalog: cat, Fusion: true, Telemetry: tel, Span: root})
 	root.End()
-
-	var b *telemetry.Breakdown
-	if dev == DeviceCPU {
-		b = h.CPUExec().Breakdown()
-	} else {
-		b = h.Castle().Breakdown()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b == nil || b.SumCycles() != b.TotalCycles {
-		t.Fatalf("hybrid breakdown (%v) should reconcile: %+v", dev, b)
+	if b := out.Breakdown; b == nil || b.SumCycles() != b.TotalCycles || b.TotalCycles != out.Cycles {
+		t.Fatalf("hybrid breakdown (%v) should reconcile with %d cycles: %+v", dev, out.Cycles, b)
+	}
+	if out.Device != dev.String() {
+		t.Fatalf("outcome device %s, routed to %v", out.Device, dev)
 	}
 	found := false
 	for _, s := range tel.Trace().Spans() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"castle/internal/baseline"
@@ -183,17 +184,20 @@ func AggregationMicro(rows int, groups []int) []MicroPoint {
 
 		// The hybrid router (§7.3: "such aggregates are better evaluated
 		// on the CPU") picks per point.
-		hybrid := exec.NewDefaultHybrid(cape.DefaultConfig().WithEnhancements(), cat)
-		hybridRes, dev := hybrid.Run(p, db)
-		if !hybridRes.Equal(cpuRes) {
+		hybrid, err := exec.Execute(context.Background(), plan.Compile(p, exec.DecideDevice(p, cat, 0, 0)), db,
+			exec.RunOptions{CAPE: cape.DefaultConfig().WithEnhancements(), Catalog: cat, Fusion: true})
+		if err != nil {
+			panic(err)
+		}
+		if !hybrid.Result.Equal(cpuRes) {
 			panic("aggregation micro: hybrid result mismatch")
 		}
 		out = append(out, MicroPoint{
 			X: g, Series: rows,
 			CastleCycles:   eng.Stats().TotalCycles(),
 			BaselineCycles: cpu.Cycles(),
-			HybridCycles:   hybrid.Cycles(dev),
-			HybridDevice:   dev.String(),
+			HybridCycles:   hybrid.Cycles,
+			HybridDevice:   hybrid.Device,
 		})
 	}
 	return out

@@ -380,7 +380,7 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 	q := c.p.Query
 	pp.Place(factDev, aggDev, dimDev)
 	ji := 0
-	var factEst float64 // fact-stage compute, accumulated in op order
+	var factEst float64              // fact-stage compute, accumulated in op order
 	scanSrc := stats.SourceHistogram // table row counts are always collected
 	if c.est.Fixed {
 		scanSrc = stats.SourceAssumed
@@ -438,22 +438,6 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 	return pp.EstCycles()
 }
 
-// hasGroupedSumMul reports the one shape CAPE's aggregation kernel rejects:
-// SUM(a*b) under GROUP BY needs bit-serial vv arithmetic in GP layout,
-// which cannot coexist with the CAM-mode group searches (outside SSB's
-// shape; Castle panics). Placement forces such tails onto the CPU.
-func hasGroupedSumMul(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
-}
-
 // PlacePlan assigns a device to every operator of a physical plan under the
 // default cost model.
 func PlacePlan(p *plan.Physical, cat *stats.Catalog, maxvl int) *plan.PlacedPlan {
@@ -483,7 +467,7 @@ func PlacePlanWith(p *plan.Physical, cat *stats.Catalog, maxvl int, m CostModel)
 	q := p.Query
 
 	aggDevs := []plan.Device{plan.DeviceCAPE, plan.DeviceCPU}
-	if hasGroupedSumMul(q) {
+	if q.GroupedSumMul() {
 		aggDevs = []plan.Device{plan.DeviceCPU}
 	}
 

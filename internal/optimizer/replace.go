@@ -50,7 +50,7 @@ func ReplaceTail(pp *plan.PlacedPlan, cat *stats.Catalog, maxvl int, m CostModel
 	}
 
 	aggDevs := []plan.Device{curAgg, otherDevice(curAgg)}
-	if hasGroupedSumMul(q) {
+	if q.GroupedSumMul() {
 		aggDevs = []plan.Device{plan.DeviceCPU}
 	}
 

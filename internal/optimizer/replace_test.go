@@ -52,7 +52,7 @@ func TestReplaceTailFlipsOnCollapsedSurvivors(t *testing.T) {
 	for num := 1; num <= 13; num++ {
 		p, cat := ssbPhysical(t, num)
 		pp := PlacePlan(p, cat, 32768)
-		if pp.AggDevice() != plan.DeviceCPU || hasGroupedSumMul(p.Query) {
+		if pp.AggDevice() != plan.DeviceCPU || p.Query.GroupedSumMul() {
 			continue
 		}
 		np, changed := ReplaceTail(pp, cat, 32768, m, 1)

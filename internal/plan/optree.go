@@ -8,6 +8,7 @@ package plan
 // same tree, with exec.Placed handling plans whose operators span devices.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -211,10 +212,18 @@ func (pp *PlacedPlan) Place(factDev, aggDev Device, dimDev map[string]Device) *P
 	return pp
 }
 
+// ErrUnsupported marks a placement that asks a device to run an operator
+// shape it cannot execute.
+var ErrUnsupported = errors.New("plan: unsupported on device")
+
 // Validate checks the placement constraints Compile/Place maintain by
-// construction: the fused fact stage on one device and the aggregation
-// tail on one device.
+// construction — the fused fact stage on one device and the aggregation
+// tail on one device — and rejects, with an error wrapping ErrUnsupported,
+// a CAPE aggregation tail for a grouped SUM(a*b).
 func (pp *PlacedPlan) Validate() error {
+	if pp.AggDevice() == DeviceCAPE && pp.Phys.Query.GroupedSumMul() {
+		return fmt.Errorf("%w: CAPE cannot aggregate SUM(a*b) under GROUP BY; run it on the CPU or a hybrid placement", ErrUnsupported)
+	}
 	factSet, aggSet := false, false
 	var factDev, aggDev Device
 	for _, op := range pp.Ops {

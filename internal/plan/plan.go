@@ -226,6 +226,25 @@ func (q *Query) HasGroupCol(table, column string) bool {
 	return false
 }
 
+// GroupedSumMul reports the one aggregate shape CAPE's aggregation tail
+// cannot run: SUM(a*b) under GROUP BY. Bit-serial vv multiplication needs
+// the GP layout while Algorithm 2's per-group searches need CAM mode, so
+// such tails must run on the CPU.
+func (q *Query) GroupedSumMul() bool {
+	return len(q.GroupBy) > 0 && q.HasSumMul()
+}
+
+// HasSumMul reports whether any aggregate is SUM(a*b), which CAPE computes
+// with bit-serial vv multiplication in the GP layout.
+func (q *Query) HasSumMul() bool {
+	for _, a := range q.Aggs {
+		if a.Kind == AggSumMul {
+			return true
+		}
+	}
+	return false
+}
+
 // JoinFor returns the join edge for a dimension table, or nil.
 func (q *Query) JoinFor(dim string) *JoinEdge {
 	for i := range q.Joins {

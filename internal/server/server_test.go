@@ -636,3 +636,44 @@ func TestServerPerOperatorPlacement(t *testing.T) {
 		t.Fatal("unknown placement accepted")
 	}
 }
+
+// TestUnsupportedShapeAnswers400 sends the one aggregate shape CAPE cannot
+// run — a grouped SUM(a*b) — forced onto CAPE: the service must answer a
+// client error and keep serving, and the hybrid router must answer it on
+// the CPU.
+func TestUnsupportedShapeAnswers400(t *testing.T) {
+	s := newTestServer(t, Config{QueueDepth: 16, CAPETiles: 1, CPUSlots: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const sql = `SELECT d_year, SUM(lo_extendedprice * lo_discount) FROM lineorder, date
+WHERE lo_orderdate = d_datekey GROUP BY d_year`
+	post := func(device string) (*http.Response, Response) {
+		t.Helper()
+		body, _ := json.Marshal(Request{SQL: sql, Device: device})
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qr Response
+		_ = json.NewDecoder(resp.Body).Decode(&qr)
+		return resp, qr
+	}
+	if resp, _ := post("cape"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("grouped SUM(a*b) on CAPE = %d, want 400", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after rejection = %d", resp.StatusCode)
+	}
+	resp, qr := post("hybrid")
+	if resp.StatusCode != http.StatusOK || qr.Device != "CPU" || qr.RowCount == 0 {
+		t.Fatalf("grouped SUM(a*b) on hybrid = %d device=%s rows=%d, want 200 on CPU",
+			resp.StatusCode, qr.Device, qr.RowCount)
+	}
+}

@@ -52,6 +52,27 @@ type FlightOp struct {
 	EstSource string `json:"est_source,omitempty"`
 }
 
+// FlightOps projects a breakdown's operator rows onto flight-record ops;
+// rows without a device inherit the breakdown's. Nil for a nil breakdown.
+func FlightOps(b *Breakdown) []FlightOp {
+	if b == nil {
+		return nil
+	}
+	ops := make([]FlightOp, 0, len(b.Operators))
+	for _, o := range b.Operators {
+		dev := o.Device
+		if dev == "" {
+			dev = b.Device
+		}
+		ops = append(ops, FlightOp{
+			Operator: o.Operator, Device: dev,
+			EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
+			EstSource: o.EstSource,
+		})
+	}
+	return ops
+}
+
 // FlightRecord is the complete post-mortem of one query.
 type FlightRecord struct {
 	// Seq is the recorder-assigned sequence number (1-based, monotone).
