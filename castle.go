@@ -262,7 +262,8 @@ func (d Device) validate() error {
 }
 
 // ErrUnsupported marks a query whose shape the forced device cannot run —
-// a grouped SUM(a*b) on CAPE. DeviceHybrid routes such queries to the CPU.
+// a grouped SUM(a*b) on CAPE with its enhancements (the adaptive data
+// layout) on. DeviceHybrid routes such queries to the CPU.
 var ErrUnsupported = plan.ErrUnsupported
 
 // ParseDevice maps a device name ("cape", "cpu", "hybrid") to its Device.
@@ -656,11 +657,12 @@ func (db *DB) Route(sqlText string, opt Options) (Device, error) {
 	if opt.Device != DeviceHybrid {
 		return opt.Device, nil
 	}
-	cp, err := db.prepare(nil, sqlText, opt, capeConfig(opt).MAXVL)
+	cfg := capeConfig(opt)
+	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
 	if err != nil {
 		return 0, err
 	}
-	if exec.DecideDevice(cp.Phys, db.catalog(), 0, 0) == exec.DeviceCPU {
+	if exec.DecideDevice(cp.Phys, db.catalog(), cfg, 0, 0) == exec.DeviceCPU {
 		return DeviceCPU, nil
 	}
 	return DeviceCAPE, nil
@@ -724,7 +726,7 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 	}
 	prepEnd := time.Now()
 	cat := db.catalog()
-	c, err := compile(cp, cat, cfg.MAXVL, opt)
+	c, err := compile(cp, cat, cfg, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -817,8 +819,8 @@ type compiled struct {
 // (priced with the overlapped transfer term when streaming, and with the
 // materializing model when the adaptive checkpoint needs the whole fact
 // stage first).
-func compile(cp optimizer.CachedPlan, cat *stats.Catalog, maxvl int, opt Options) (compiled, error) {
-	phys := cp.Phys
+func compile(cp optimizer.CachedPlan, cat *stats.Catalog, cfg cape.Config, opt Options) (compiled, error) {
+	phys, maxvl := cp.Phys, cfg.MAXVL
 	switch {
 	case opt.Device == DeviceCPU:
 		// CPU preparations stop at binding, so the prediction runs its own
@@ -838,7 +840,7 @@ func compile(cp optimizer.CachedPlan, cat *stats.Catalog, maxvl int, opt Options
 	}
 	dev := plan.DeviceCAPE
 	if opt.Device == DeviceHybrid {
-		dev = exec.DecideDevice(phys, cat, 0, 0)
+		dev = exec.DecideDevice(phys, cat, cfg, 0, 0)
 	}
 	return compiled{pp: optimizer.PredictUniform(phys, cat, maxvl, dev), plan: phys.String()}, nil
 }

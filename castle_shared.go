@@ -213,9 +213,7 @@ func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sha
 	gs := tel.StartSpan("fused-sweep")
 	gs.SetStr("device", dev.String())
 	gs.SetInt("members", int64(len(members)))
-	out, err := exec.ExecuteShared(ctx, dev, plans, db.store, exec.RunOptions{
-		CAPE: cfg, Catalog: cat, Fusion: !opt.DisableFusion, Telemetry: tel,
-	})
+	out, err := exec.ExecuteShared(ctx, dev, plans, db.store, cfg, cat, !opt.DisableFusion, tel)
 	gs.SetInt("cycles", out.Stats.TotalCycles)
 	gs.End()
 	if err != nil {

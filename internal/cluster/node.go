@@ -153,7 +153,7 @@ func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Res
 	case o.PerOperator:
 		pp = optimizer.PlacePlan(phys, n.cat, cfg.MAXVL)
 	default:
-		pp = plan.Compile(phys, exec.DecideDevice(phys, n.cat, 0, 0))
+		pp = plan.Compile(phys, exec.DecideDevice(phys, n.cat, cfg, 0, 0))
 	}
 	out, err := exec.Execute(ctx, pp, n.db, exec.RunOptions{
 		CAPE: cfg, Catalog: n.cat, Fusion: true, Parallelism: o.Parallelism,

@@ -211,7 +211,7 @@ func (c *Corpus) checkRouted(q *plan.Query, want *reference.Result, cfg cape.Con
 	if err != nil {
 		return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("optimize: %v", err)}
 	}
-	pp := plan.Compile(p, exec.DecideDevice(p, c.Cat, 0, 0))
+	pp := plan.Compile(p, exec.DecideDevice(p, c.Cat, cfg, 0, 0))
 	out, err := exec.Execute(context.Background(), pp, c.DB,
 		exec.RunOptions{CAPE: cfg, Catalog: c.Cat, Fusion: true, Parallelism: k})
 	if err != nil {

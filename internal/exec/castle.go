@@ -259,8 +259,8 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	// aggregation phase in GP mode; everything else stays in one layout.
 	// The GP-mode tail cannot also run Algorithm 2's CAM-mode searches.
 	needGPArith := q.HasSumMul()
-	if needGPArith && camCapable && len(q.GroupBy) > 0 {
-		return nil, fmt.Errorf("%w: CAPE cannot aggregate SUM(a*b) under GROUP BY", plan.ErrUnsupported)
+	if camCapable && q.GroupedSumMul() {
+		return nil, fmt.Errorf("%w: CAPE with the adaptive data layout cannot aggregate SUM(a*b) under GROUP BY", plan.ErrUnsupported)
 	}
 
 	// Phase 0: filter dimensions on CAPE and compact qualifying keys and

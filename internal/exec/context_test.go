@@ -94,7 +94,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if _, err := x.RunContext(ctx, p.Query, database); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cpu: want context.Canceled, got %v", err)
 	}
-	pp := plan.Compile(p, DecideDevice(p, cat, 0, 0))
+	pp := plan.Compile(p, DecideDevice(p, cat, smallCape(), 0, 0))
 	if _, err := Execute(ctx, pp, database, RunOptions{CAPE: smallCape(), Catalog: cat, Fusion: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("hybrid: want context.Canceled, got %v", err)
 	}
@@ -105,19 +105,19 @@ func TestDecideDeviceThresholds(t *testing.T) {
 	// Group by d_year only (~7 groups): CAPE territory at the defaults.
 	small := optimize(t, bindQuery(t, database, `SELECT SUM(lo_revenue), d_year
 FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year`), cat, 4096)
-	if dev := DecideDevice(small, cat, 0, 0); dev != DeviceCAPE {
+	if dev := DecideDevice(small, cat, smallCape(), 0, 0); dev != DeviceCAPE {
 		t.Fatalf("default thresholds: want CAPE, got %v", dev)
 	}
-	if dev := DecideDevice(small, cat, 1, 0); dev != DeviceCPU {
+	if dev := DecideDevice(small, cat, smallCape(), 1, 0); dev != DeviceCPU {
 		t.Fatalf("groupThreshold=1: want CPU, got %v", dev)
 	}
-	if dev := DecideDevice(small, cat, 0, 1); dev != DeviceCPU {
+	if dev := DecideDevice(small, cat, smallCape(), 0, 1); dev != DeviceCPU {
 		t.Fatalf("dimThreshold=1: want CPU, got %v", dev)
 	}
 	// Q2.1 estimates ~7000 groups (7 years x ~1000 brands), past the
 	// Figure 12 crossover: hybrid routing sends it to the CPU.
 	big := optimize(t, bindQuery(t, database, ctxTestQuery), cat, 4096)
-	if dev := DecideDevice(big, cat, 0, 0); dev != DeviceCPU {
+	if dev := DecideDevice(big, cat, smallCape(), 0, 0); dev != DeviceCPU {
 		t.Fatalf("large-group query: want CPU, got %v", dev)
 	}
 }

@@ -140,15 +140,19 @@ type SharedOutcome struct {
 }
 
 // ExecuteShared runs the member plans as one fused fact sweep on a fresh
-// engine of dev (see RunSharedCAPE and RunSharedCPU). Parallelism,
-// Streaming and Adaptive do not apply: a group takes one engine.
-func ExecuteShared(ctx context.Context, dev Device, plans []*plan.Physical, db *storage.Database, o RunOptions) (*SharedOutcome, error) {
+// engine of dev (see RunSharedCAPE and RunSharedCPU). A CAPE group runs on
+// design point cfg, sizes its ABA bitwidths from cat and fuses its
+// operators when fusion is set; tel (may be nil) receives the engine's
+// cycle counters.
+func ExecuteShared(ctx context.Context, dev Device, plans []*plan.Physical, db *storage.Database,
+	cfg cape.Config, cat *stats.Catalog, fusion bool, tel *telemetry.Telemetry) (*SharedOutcome, error) {
+
 	var members []SharedMemberResult
 	var st SharedStats
 	var err error
 	if dev == DeviceCPU {
 		cpu := baseline.New(baseline.DefaultConfig())
-		AttachCPUTelemetry(cpu, o.Telemetry)
+		AttachCPUTelemetry(cpu, tel)
 		queries := make([]*plan.Query, len(plans))
 		for i, p := range plans {
 			queries[i] = p.Query
@@ -156,10 +160,10 @@ func ExecuteShared(ctx context.Context, dev Device, plans []*plan.Physical, db *
 		members, st, err = RunSharedCPU(ctx, cpu, queries, db, 0)
 		return &SharedOutcome{members, st, cpu.Mem().BytesMoved(), cpu.Config().ClockHz}, err
 	}
-	eng := cape.New(o.CAPE)
-	AttachEngineTelemetry(eng, o.Telemetry)
-	members, st, err = RunSharedCAPE(ctx, eng, o.Catalog, CastleOptions{Fusion: o.Fusion}, plans, db)
-	return &SharedOutcome{members, st, eng.Mem().BytesMoved(), o.CAPE.ClockHz}, err
+	eng := cape.New(cfg)
+	AttachEngineTelemetry(eng, tel)
+	members, st, err = RunSharedCAPE(ctx, eng, cat, CastleOptions{Fusion: fusion}, plans, db)
+	return &SharedOutcome{members, st, eng.Mem().BytesMoved(), cfg.ClockHz}, err
 }
 
 // usesDevice reports whether any operator of pp is placed on dev.
@@ -267,13 +271,13 @@ func estimateGroups(q *plan.Query, cat *stats.Catalog) int {
 //     (Figure 12: "such aggregates are better evaluated on the CPU");
 //   - joins whose filtered probe side exceeds ~250K rows run on the CPU
 //     (Figure 11: parity near 250K-row dimensions);
-//   - a grouped SUM(a*b), which CAPE's aggregation tail cannot run, runs on
-//     the CPU;
+//   - a grouped SUM(a*b) runs on the CPU when cfg's adaptive data layout
+//     keeps CAPE's aggregation in CAM mode (see Castle.RunContext);
 //   - everything else runs on CAPE.
 //
 // Zero thresholds select the paper's crossover defaults. The serving layer
 // routes with it before acquiring a CAPE tile or CPU slot.
-func DecideDevice(p *plan.Physical, cat *stats.Catalog, groupThreshold, dimThreshold int) Device {
+func DecideDevice(p *plan.Physical, cat *stats.Catalog, cfg cape.Config, groupThreshold, dimThreshold int) Device {
 	if groupThreshold <= 0 {
 		groupThreshold = 5000
 	}
@@ -281,7 +285,7 @@ func DecideDevice(p *plan.Physical, cat *stats.Catalog, groupThreshold, dimThres
 		dimThreshold = 250_000
 	}
 	q := p.Query
-	if q.GroupedSumMul() || estimateGroups(q, cat) > groupThreshold {
+	if (cfg.EnableADL && q.GroupedSumMul()) || estimateGroups(q, cat) > groupThreshold {
 		return DeviceCPU
 	}
 	for _, j := range q.Joins {

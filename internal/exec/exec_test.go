@@ -722,7 +722,7 @@ func TestHybridRouting(t *testing.T) {
 	cfg := withFlags(smallCape(), true, true, true)
 	route := func(p *plan.Physical) (*Outcome, Device) {
 		t.Helper()
-		dev := DecideDevice(p, cat, 0, 0)
+		dev := DecideDevice(p, cat, cfg, 0, 0)
 		out, err := Execute(context.Background(), plan.Compile(p, dev), database,
 			RunOptions{CAPE: cfg, Catalog: cat, Fusion: true})
 		if err != nil {
@@ -767,7 +767,7 @@ func TestHybridRouting(t *testing.T) {
 	bound3 := bindQuery(t, database, `
 		SELECT SUM(lo_revenue) FROM lineorder, supplier WHERE lo_suppkey = s_suppkey`)
 	p3 := optimize(t, bound3, cat, cfg.MAXVL)
-	if d := DecideDevice(p3, cat, 0, 1); d != DeviceCPU {
+	if d := DecideDevice(p3, cat, cfg, 0, 1); d != DeviceCPU {
 		t.Fatalf("oversized dimension routed to %v, want CPU", d)
 	}
 
@@ -788,5 +788,62 @@ func TestHybridRouting(t *testing.T) {
 	}
 	if _, err := NewCastle(cape.New(cfg), cat, DefaultCastleOptions()).RunContext(context.Background(), p4, database); !errors.Is(err, plan.ErrUnsupported) {
 		t.Fatalf("Castle.RunContext grouped SUM(a*b): want ErrUnsupported, got %v", err)
+	}
+
+	// Without the adaptive data layout CAPE aggregates the shape in one
+	// layout: the router keeps it on CAPE and a forced CAPE run answers.
+	base := withFlags(smallCape(), false, false, false)
+	if d := DecideDevice(p4, cat, base, 0, 0); d != DeviceCAPE {
+		t.Fatalf("grouped SUM(a*b) without ADL routed to %v, want CAPE", d)
+	}
+	out5, err := Execute(context.Background(), plan.Compile(p4, DeviceCAPE), database,
+		RunOptions{CAPE: base, Catalog: cat, Fusion: true})
+	if err != nil || out5.Device != "CAPE" || !Reference(bound4, database).Equal(out5.Result) {
+		t.Fatalf("forced CAPE grouped SUM(a*b) without ADL: device %v, err %v", out5, err)
+	}
+}
+
+// TestGroupedSumMulSplitTail: CAPE's tail over shipped tuples has no
+// grouped SUM(a*b) kernel, whatever the engine's layout. A split plan that
+// places the tail on CAPE is rejected; a split plan that keeps it on the
+// CPU aggregates there even where a static split run would otherwise cross
+// to CAPE (fact stage and tail on the CPU, a dimension built on CAPE).
+func TestGroupedSumMulSplitTail(t *testing.T) {
+	database, cat := db(t)
+	bound := bindQuery(t, database, `
+		SELECT d_year, SUM(lo_extendedprice * lo_discount) FROM lineorder, date
+		WHERE lo_orderdate = d_datekey GROUP BY d_year`)
+	want := Reference(bound, database)
+	for _, cfg := range []cape.Config{withFlags(smallCape(), true, true, true), withFlags(smallCape(), false, false, false)} {
+		p := optimize(t, bound, cat, cfg.MAXVL)
+		onCAPE := map[string]plan.Device{"date": plan.DeviceCAPE}
+		run := func(pp *plan.PlacedPlan, streaming bool) (*Outcome, error) {
+			return Execute(context.Background(), pp, database,
+				RunOptions{CAPE: cfg, Catalog: cat, Fusion: true, Streaming: streaming})
+		}
+		rejected := plan.Compile(p, plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCAPE, nil)
+		if _, err := run(rejected, false); !errors.Is(err, plan.ErrUnsupported) {
+			t.Fatalf("ADL=%v: CPU fact stage + CAPE tail: want ErrUnsupported, got %v", cfg.EnableADL, err)
+		}
+		for _, streaming := range []bool{false, true} {
+			pp := plan.Compile(p, plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCPU, onCAPE)
+			out, err := run(pp, streaming)
+			if err != nil {
+				t.Fatalf("ADL=%v streaming=%v: %v", cfg.EnableADL, streaming, err)
+			}
+			if !want.Equal(out.Result) {
+				t.Fatalf("ADL=%v streaming=%v: wrong answer %v", cfg.EnableADL, streaming, out.Result.Rows)
+			}
+			var tail string
+			for _, o := range out.Breakdown.Operators {
+				if o.Operator == "aggregate" {
+					tail = o.Device
+				}
+			}
+			if tail != "CPU" || out.Device != "CAPE+CPU" {
+				t.Fatalf("ADL=%v streaming=%v: tail on %q, run on %s; want the CPU tail of a CAPE+CPU run",
+					cfg.EnableADL, streaming, tail, out.Device)
+			}
+		}
 	}
 }

@@ -169,10 +169,20 @@ func (x *Placed) run(ctx context.Context, pp *plan.PlacedPlan, db *storage.Datab
 	}
 
 	q := pp.Phys.Query
+	// A static split run aggregates on the device opposite its fact stage,
+	// even when only a dimension build crossed and the plan kept the tail
+	// on the fact device — except a grouped SUM(a*b), which CAPE's tail
+	// cannot run. The checkpoint starts from the planned tail.
+	tail := plan.DeviceCAPE
+	if pp.FactDevice() == plan.DeviceCAPE || q.GroupedSumMul() {
+		tail = plan.DeviceCPU
+	}
 	eng, cpu := x.castle.eng, x.cpu.cpu
 	capeStart, cpuStart := eng.TotalCycles(), cpu.Cycles()
 	bk := newPlacedBreakdown()
-	streaming := adapt == nil && x.streaming.Load()
+	// Only a crossing streams: a streaming CPU fact stage folds its batches
+	// straight into the CAPE tail.
+	streaming := adapt == nil && x.streaming.Load() && tail != pp.FactDevice()
 	var fs *factOutput
 	var err error
 	if pp.FactDevice() == plan.DeviceCAPE {
@@ -182,13 +192,6 @@ func (x *Placed) run(ctx context.Context, pp *plan.PlacedPlan, db *storage.Datab
 	}
 	if err != nil {
 		return nil, ast, err
-	}
-	// A static split run aggregates on the device opposite its fact stage,
-	// even when only a dimension build crossed and the plan kept the tail
-	// on the fact device; the checkpoint starts from the planned tail.
-	tail := plan.DeviceCAPE
-	if pp.FactDevice() == plan.DeviceCAPE {
-		tail = plan.DeviceCPU
 	}
 	if adapt != nil {
 		tail = ast.checkpoint(*adapt, q, fs.ships)
@@ -388,7 +391,8 @@ func (x *Placed) runTail(ctx context.Context, q *plan.Query, fact *storage.Table
 // K is 1, one forked tile each otherwise — pulls its MAXVL partitions
 // through one capeFactSource loop: streaming lanes fold each batch into
 // their CPU-tail consumer as it lands, materializing lanes append it to one
-// shipment per lane.
+// shipment per lane. With fusion disabled each lane then pays the fission
+// overhead for the partitions it swept, as Castle's sweep does.
 func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
 	bk *placedBreakdown, streaming bool) (*factOutput, error) {
 
@@ -443,7 +447,8 @@ func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *stora
 	fact := db.MustTable(q.Fact)
 	factRows := fact.Rows()
 	maxvl := cfg.MAXVL
-	k := fanOut(int(x.par.Load()), (factRows+maxvl-1)/maxvl)
+	parts := (factRows + maxvl - 1) / maxvl
+	k := fanOut(int(x.par.Load()), parts)
 	attrKeys, shipCols := shipTailCols(q)
 	fs := &factOutput{shipCols: shipCols}
 	sweep := x.parent.Child("fact-sweep")
@@ -487,8 +492,11 @@ func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *stora
 		}
 		for {
 			b, err := src.Next(ctx)
-			if err != nil || b == nil {
+			if err != nil {
 				return err
+			}
+			if b == nil {
+				break
 			}
 			if !streaming {
 				fs.ships[lane].append(b)
@@ -496,6 +504,10 @@ func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *stora
 				return err
 			}
 		}
+		if !x.castle.opts.Fusion {
+			src.s.chargeFissionOverhead(p, (parts-lane+k-1)/k, maxvl)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -1084,7 +1096,7 @@ func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[stri
 
 // setAggLayout pins the CSB layout the CAPE aggregation tail needs: GP mode
 // when a vector-vector arithmetic aggregate must run, CAM mode otherwise.
-// PlacedPlan.Validate keeps grouped vv arithmetic off CAPE.
+// PlacedPlan.Validate and run keep grouped vv arithmetic off this tail.
 func (x *Placed) setAggLayout(q *plan.Query) {
 	eng := x.castle.eng
 	if !eng.Config().EnableADL {

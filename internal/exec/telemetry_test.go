@@ -247,7 +247,7 @@ func TestHybridTelemetryForwards(t *testing.T) {
 
 	tel := telemetry.New()
 	root := tel.StartSpan("query")
-	dev := DecideDevice(p, cat, 0, 0)
+	dev := DecideDevice(p, cat, cfg, 0, 0)
 	out, err := Execute(context.Background(), plan.Compile(p, dev), database,
 		RunOptions{CAPE: cfg, Catalog: cat, Fusion: true, Telemetry: tel, Span: root})
 	root.End()

@@ -184,8 +184,9 @@ func AggregationMicro(rows int, groups []int) []MicroPoint {
 
 		// The hybrid router (§7.3: "such aggregates are better evaluated
 		// on the CPU") picks per point.
-		hybrid, err := exec.Execute(context.Background(), plan.Compile(p, exec.DecideDevice(p, cat, 0, 0)), db,
-			exec.RunOptions{CAPE: cape.DefaultConfig().WithEnhancements(), Catalog: cat, Fusion: true})
+		hcfg := cape.DefaultConfig().WithEnhancements()
+		hybrid, err := exec.Execute(context.Background(), plan.Compile(p, exec.DecideDevice(p, cat, hcfg, 0, 0)), db,
+			exec.RunOptions{CAPE: hcfg, Catalog: cat, Fusion: true})
 		if err != nil {
 			panic(err)
 		}

@@ -219,10 +219,13 @@ var ErrUnsupported = errors.New("plan: unsupported on device")
 // Validate checks the placement constraints Compile/Place maintain by
 // construction — the fused fact stage on one device and the aggregation
 // tail on one device — and rejects, with an error wrapping ErrUnsupported,
-// a CAPE aggregation tail for a grouped SUM(a*b).
+// a split plan that asks CAPE to aggregate a grouped SUM(a*b): CAPE's tail
+// over shipped tuples has no grouped vv-arithmetic kernel. A plan wholly on
+// CAPE is left to the engine, which runs the shape unless its adaptive data
+// layout pins the aggregation to CAM mode.
 func (pp *PlacedPlan) Validate() error {
-	if pp.AggDevice() == DeviceCAPE && pp.Phys.Query.GroupedSumMul() {
-		return fmt.Errorf("%w: CAPE cannot aggregate SUM(a*b) under GROUP BY; run it on the CPU or a hybrid placement", ErrUnsupported)
+	if _, uniform := pp.Uniform(); !uniform && pp.AggDevice() == DeviceCAPE && pp.Phys.Query.GroupedSumMul() {
+		return fmt.Errorf("%w: CAPE cannot aggregate shipped SUM(a*b) tuples under GROUP BY; place the tail on the CPU", ErrUnsupported)
 	}
 	factSet, aggSet := false, false
 	var factDev, aggDev Device

@@ -227,9 +227,10 @@ func (q *Query) HasGroupCol(table, column string) bool {
 }
 
 // GroupedSumMul reports the one aggregate shape CAPE's aggregation tail
-// cannot run: SUM(a*b) under GROUP BY. Bit-serial vv multiplication needs
-// the GP layout while Algorithm 2's per-group searches need CAM mode, so
-// such tails must run on the CPU.
+// cannot always run: SUM(a*b) under GROUP BY. With the adaptive data layout,
+// bit-serial vv multiplication needs the GP layout while Algorithm 2's
+// per-group searches need CAM mode; the tail over shipped tuples has no
+// grouped vv-arithmetic kernel at all. Such tails run on the CPU.
 func (q *Query) GroupedSumMul() bool {
 	return len(q.GroupBy) > 0 && q.HasSumMul()
 }

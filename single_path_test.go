@@ -46,14 +46,30 @@ func TestGroupedSumMulRejectedOnCAPE(t *testing.T) {
 	if dev, err := db.Route(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid}); err != nil || dev != castle.DeviceCPU {
 		t.Fatalf("Route = %v, %v; want CPU", dev, err)
 	}
+
+	// Unmodified CAPE (no adaptive data layout) aggregates the shape in one
+	// layout, so forced CAPE answers and the router keeps it there.
+	for _, dev := range []castle.Device{castle.DeviceCAPE, castle.DeviceHybrid} {
+		rows, m, err := db.QueryWith(groupedSumMulSQL, castle.Options{Device: dev, DisableEnhancements: true})
+		if err != nil {
+			t.Fatalf("%v without enhancements: %v", dev, err)
+		}
+		if m.DeviceUsed != "CAPE" || !reflect.DeepEqual(rows.Data, want.Data) {
+			t.Fatalf("%v without enhancements ran on %s\ngot:  %v\nwant: %v", dev, m.DeviceUsed, rows.Data, want.Data)
+		}
+	}
+	if dev, err := db.Route(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid, DisableEnhancements: true}); err != nil || dev != castle.DeviceCAPE {
+		t.Fatalf("Route without enhancements = %v, %v; want CAPE", dev, err)
+	}
 }
 
 // TestHybridHonoursDisableFusion: a hybrid run the router sends to CAPE
-// must run the same fusion ablation a forced CAPE run does.
+// must run the same fusion ablation a forced CAPE run does, and every
+// per-operator run whose fact stage sweeps on CAPE pays for it too.
 func TestHybridHonoursDisableFusion(t *testing.T) {
 	db := castle.GenerateSSB(0.01, 20260704)
-	q := castle.SSBQueries()[0].SQL // Q1.1: a scalar aggregate the router keeps on CAPE
-	run := func(opt castle.Options) *castle.Metrics {
+	queries := castle.SSBQueries()
+	run := func(q string, opt castle.Options) *castle.Metrics {
 		t.Helper()
 		_, m, err := db.QueryWith(q, opt)
 		if err != nil {
@@ -61,9 +77,10 @@ func TestHybridHonoursDisableFusion(t *testing.T) {
 		}
 		return m
 	}
-	fused := run(castle.Options{Device: castle.DeviceCAPE})
-	forced := run(castle.Options{Device: castle.DeviceCAPE, DisableFusion: true})
-	hybrid := run(castle.Options{Device: castle.DeviceHybrid, DisableFusion: true})
+	q11 := queries[0].SQL // Q1.1: a scalar aggregate the router keeps on CAPE
+	fused := run(q11, castle.Options{Device: castle.DeviceCAPE})
+	forced := run(q11, castle.Options{Device: castle.DeviceCAPE, DisableFusion: true})
+	hybrid := run(q11, castle.Options{Device: castle.DeviceHybrid, DisableFusion: true})
 	if hybrid.DeviceUsed != "CAPE" {
 		t.Fatalf("hybrid routed Q1.1 to %s, want CAPE", hybrid.DeviceUsed)
 	}
@@ -72,6 +89,34 @@ func TestHybridHonoursDisableFusion(t *testing.T) {
 	}
 	if hybrid.Cycles != forced.Cycles {
 		t.Fatalf("hybrid with DisableFusion ran %d cycles, forced CAPE %d", hybrid.Cycles, forced.Cycles)
+	}
+
+	// Per-operator runs: Q1.1 stays wholly on CAPE, Q3.1 splits (fact stage
+	// on CAPE, tail on the CPU), and adaptive runs always take the split
+	// pipeline. The ablation charges the same fission overhead a forced
+	// CAPE sweep of the same plan pays.
+	for _, q := range []castle.SSBQuery{queries[0], queries[6]} {
+		penalty := run(q.SQL, castle.Options{Device: castle.DeviceCAPE, DisableFusion: true}).Cycles -
+			run(q.SQL, castle.Options{Device: castle.DeviceCAPE}).Cycles
+		for _, opt := range []castle.Options{
+			{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator},
+			{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, Streaming: true},
+			{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true},
+			{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true, Parallelism: 2, MAXVL: 8192},
+		} {
+			on := run(q.SQL, opt)
+			opt.DisableFusion = true
+			off := run(q.SQL, opt)
+			if opt.Parallelism > 1 {
+				if off.Cycles <= on.Cycles {
+					t.Fatalf("%s %+v: DisableFusion ran %d cycles, fused %d", q.Flight, opt, off.Cycles, on.Cycles)
+				}
+				continue
+			}
+			if got := off.Cycles - on.Cycles; got != penalty {
+				t.Fatalf("%s %+v (%s): DisableFusion cost %d cycles, forced CAPE %d", q.Flight, opt, on.DeviceUsed, got, penalty)
+			}
+		}
 	}
 }
 
