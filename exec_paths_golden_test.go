@@ -49,6 +49,9 @@ var goldenPaths = []struct {
 	{"perop", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}},
 	{"perop-stream", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, Streaming: true}},
 	{"perop-adaptive", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true}},
+	{"cpu-stream", castle.Options{Device: castle.DeviceCPU, Streaming: true}},
+	{"cape-nofusion", castle.Options{Device: castle.DeviceCAPE, DisableFusion: true}},
+	{"cape-noenh", castle.Options{Device: castle.DeviceCAPE, DisableEnhancements: true}},
 }
 
 // goldenRecord accumulates record lines; sorted on output so the record is
@@ -103,6 +106,7 @@ func TestExecPathsGolden(t *testing.T) {
 			}
 		}
 	}
+	recordSharedGroups(t, rec, db, defaultVL)
 	sort.Strings(rec.lines)
 	got := strings.Join(rec.lines, "\n") + "\n"
 
@@ -147,6 +151,32 @@ func recordMetrics(rec *goldenRecord, key string, m *castle.Metrics) {
 	}
 	rec.add("%s plan %q", key, m.Plan)
 	rec.breakdown(key, m.Breakdown)
+}
+
+// recordSharedGroups runs the 13 SSB queries as one scan-sharing batch on
+// each device and records every member's attributed accounting. Group ids
+// are process-unique counters, so they stay out of the record.
+func recordSharedGroups(t *testing.T, rec *goldenRecord, db *castle.DB, defaultVL int) {
+	t.Helper()
+	qs := castle.SSBQueries()
+	sqls := make([]string, len(qs))
+	for i, q := range qs {
+		sqls[i] = q.SQL
+	}
+	for _, dev := range []castle.Device{castle.DeviceCAPE, castle.DeviceCPU} {
+		for _, vl := range []int{defaultVL, 4096} {
+			_, mets, err := db.QueryGroup(sqls, castle.Options{Device: dev, MAXVL: vl, ScanSharing: true})
+			if err != nil {
+				t.Fatalf("shared group on %v vl=%d: %v", dev, vl, err)
+			}
+			for i, m := range mets {
+				key := fmt.Sprintf("%s shared-%-7s vl=%d", qs[i].Flight, dev, vl)
+				rec.add("%s member cycles=%d shared=%d size=%d device=%s",
+					key, m.Cycles, m.SharedScanCycles, m.GroupSize, m.DeviceUsed)
+				rec.breakdown(key, m.Breakdown)
+			}
+		}
+	}
 }
 
 // recordForcedMixed runs both forced mixed directions (CAPE fact -> CPU tail
