@@ -180,16 +180,6 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 	return rows, mets, nil
 }
 
-// shareOf splits a group-level term across n members exactly (largest
-// remainder by member position), matching the executors' attribution.
-func shareOf(t int64, i, n int) int64 {
-	s := t / int64(n)
-	if int64(i) < t%int64(n) {
-		s++
-	}
-	return s
-}
-
 // runSharedGroup executes one fused group on a fresh engine of dev and
 // fills the members' caller slots.
 func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
@@ -229,7 +219,7 @@ func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sha
 		met := &Metrics{
 			Cycles:           res.Cycles,
 			Seconds:          float64(res.Cycles) / out.ClockHz,
-			BytesMoved:       shareOf(out.BytesMoved, i, len(members)),
+			BytesMoved:       exec.ShareOf(out.BytesMoved, i, len(members)),
 			DeviceUsed:       dev.String(),
 			Breakdown:        res.Breakdown,
 			GroupID:          gid,

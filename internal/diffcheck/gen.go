@@ -12,7 +12,7 @@ package diffcheck
 //
 // Two deliberate holes mirror the modeled hardware's domain. SUM(a*b)
 // never coexists with GROUP BY — the Castle executor rejects that shape by
-// design (outside SSB; see exec.runPartition). And SUM(a*b) only draws
+// design (outside SSB; see Castle.RunContext). And SUM(a*b) only draws
 // from pairs whose per-row product fits 32 bits: CAPE's vmul.vv writes
 // 32-bit lanes (truncating, as the hardware would), while the scalar
 // engines multiply in int64, so an out-of-domain pair is a guaranteed

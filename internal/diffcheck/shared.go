@@ -69,8 +69,16 @@ func (c *Corpus) checkSharedCPU(q *plan.Query, group []*plan.Query, wants []*ref
 			m = &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
+	plans := make([]*plan.Physical, len(group))
+	for i, cq := range group {
+		p, err := optimizer.Optimize(cq, c.Cat, cape.DefaultConfig().MAXVL)
+		if err != nil {
+			return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("optimize member %d: %v", i, err)}
+		}
+		plans[i] = p
+	}
 	cpu := baseline.New(baseline.DefaultConfig())
-	results, stats, err := exec.RunSharedCPU(context.Background(), cpu, group, c.DB, 0)
+	results, stats, err := exec.RunSharedCPU(context.Background(), cpu, plans, c.DB)
 	if err != nil {
 		return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("run: %v", err)}
 	}

@@ -1,8 +1,7 @@
 package exec
 
 // batch.go is the streaming execution layer: the pipeline's unit of work
-// (Batch), the pull contract operators produce batches through
-// (BatchSource), and the double-buffered transfer channel that accounts a
+// (Batch) and the double-buffered transfer channel that accounts a
 // CAPE<->CPU crossing when execution streams instead of materializing.
 //
 // The cycle model is classic double buffering. The producer emits batch i
@@ -22,11 +21,7 @@ package exec
 // which is zero for 0 or 1 batches (pure fill + drain) and min(T_1, C_2)
 // for two. The rows still partition the streamed TotalCycles exactly.
 
-import (
-	"context"
-
-	"castle/internal/plan"
-)
+import "castle/internal/plan"
 
 // Batch is one MAXVL-sized unit of survivor tuples flowing through a
 // streaming pipeline: absolute fact-row indices in ascending order plus the
@@ -67,14 +62,6 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // field per shipped tuple column (row identifier plus carried attributes).
 func (b *Batch) ShipBytes(shipCols int) int64 {
 	return int64(4 * len(b.Rows) * shipCols)
-}
-
-// BatchSource is the pull half of the streaming pipeline: each Next call
-// runs the producer far enough to emit one batch. A nil batch with a nil
-// error means the stream is drained. Next checks ctx before producing, so
-// cancellation lands between batches, not just between operators.
-type BatchSource interface {
-	Next(ctx context.Context) (*Batch, error)
 }
 
 // ShipTupleFields returns the width of one shipped survivor tuple in 4-byte
@@ -119,6 +106,35 @@ func (ch *xferChannel) record(compute, xfer, bytes int64) {
 	ch.prevBytes = bytes
 	ch.xferCycles += xfer
 	ch.batches++
+}
+
+func newXferChannels(k int) []*xferChannel {
+	chans := make([]*xferChannel, k)
+	for i := range chans {
+		chans[i] = &xferChannel{}
+	}
+	return chans
+}
+
+// streamStats sums a fact stage's lane channels: batches and peak bytes add
+// across lanes. The run-level overlap credit is the lane's own when the
+// stage ran serially (laneCycles nil); a fan-out's is bounded by the
+// critical lane — the lanes already overlap each other, so only the
+// transfer cycles that shorten the critical path count.
+func streamStats(chans []*xferChannel, laneCycles []int64) StreamStats {
+	var st StreamStats
+	credits := make([]int64, len(chans))
+	for i, ch := range chans {
+		st.Batches += ch.batches
+		st.PeakBatchBytes += ch.peakBytes
+		credits[i] = ch.credit
+	}
+	if laneCycles == nil {
+		st.OverlapCycles = credits[0]
+	} else {
+		st.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
+	}
+	return st
 }
 
 // StreamStats summarizes one streaming run: batches produced across all

@@ -29,8 +29,8 @@ func (s *tileSweep) chargeDistinctLoop(distinct int64, width int) {
 }
 
 // distinctUnder gathers the distinct values of a fact column among the
-// masked rows of the current partition (the functional result of the
-// charged loop above). The result is sorted ascending: a canonical order
+// masked rows of the partition starting at base (the functional result of
+// the charged loop above). The result is sorted ascending: a canonical order
 // that does not depend on row order within the partition, so repeated runs
 // and different partitionings hand identical value lists downstream.
 func distinctUnder(col []uint32, base int, mask *bitvec.Vector) []uint32 {
@@ -47,10 +47,61 @@ func distinctUnder(col []uint32, base int, mask *bitvec.Vector) []uint32 {
 	return out
 }
 
-// aggregateScalar handles queries without GROUP BY: per-partition partial
+// aggregate runs the Aggregate operator over one CSB-resident chunk: the
+// scalar reductions without GROUP BY, Algorithm 2 with one. data yields a
+// fact column's chunk-aligned values and load brings it into a register;
+// attrRegs holds the dimension attributes the group keys read.
+func (s *tileSweep) aggregate(q *plan.Query, data func(string) []uint32, rowMask *bitvec.Vector,
+	regs *regAlloc, attrRegs map[string]cape.VReg, load func(string) cape.VReg) {
+
+	if len(q.GroupBy) == 0 {
+		s.aggregateScalar(q, data, rowMask, regs, load)
+	} else {
+		s.aggregateGroups(q, data, rowMask, regs, attrRegs, load)
+	}
+}
+
+// aggregateShipped is the CAPE aggregation tail of a split run over shipped
+// survivor tuples [lo, hi) of ship: the shipped dimension attributes and
+// the tuples' gathered fact fields load into the CSB (each load bills its
+// stream read), and the fused sweep's own aggregation kernels run over the
+// chunk with every row live.
+func (s *tileSweep) aggregateShipped(q *plan.Query, fact *storage.Table, ship *Batch, lo, hi int) {
+	eng := s.eng
+	n := hi - lo
+	eng.SetVL(n)
+	regs := newRegAlloc(eng.Config().NumVRegs)
+	gathered := make(map[string][]uint32)
+	data := func(name string) []uint32 {
+		if d, ok := gathered[name]; ok {
+			return d
+		}
+		col := fact.MustColumn(name).Data
+		d := make([]uint32, n)
+		for i, row := range ship.Rows[lo:hi] {
+			d[i] = col[row]
+		}
+		gathered[name] = d
+		return d
+	}
+	rowMask := eng.MaskInit(true)
+	attrRegs := make(map[string]cape.VReg)
+	for _, g := range q.GroupBy {
+		key := g.Table + "." + g.Column
+		if _, loaded := attrRegs[key]; loaded || g.Table == q.Fact {
+			continue
+		}
+		r := regs.fresh()
+		eng.Load(r, ship.Attrs[key][lo:hi], colWidth(s.cat, g.Table, g.Column))
+		attrRegs[key] = r
+	}
+	s.aggregate(q, data, rowMask, regs, attrRegs, s.columnLoader(regs, q.Fact, data))
+}
+
+// aggregateScalar handles queries without GROUP BY: per-chunk partial
 // reductions merge into the CP-side accumulator.
-func (s *tileSweep) aggregateScalar(q *plan.Query, fact *storage.Table, base, vl int,
-	rowMask *bitvec.Vector, regs *regAlloc) {
+func (s *tileSweep) aggregateScalar(q *plan.Query, data func(string) []uint32, rowMask *bitvec.Vector,
+	regs *regAlloc, load func(string) cape.VReg) {
 
 	eng := s.eng
 	acc := s.acc
@@ -58,39 +109,32 @@ func (s *tileSweep) aggregateScalar(q *plan.Query, fact *storage.Table, base, vl
 	if rows == 0 {
 		return
 	}
-	loadCol := func(name string) cape.VReg {
-		r, cached := regs.forCol(name)
-		if !cached {
-			eng.Load(r, fact.MustColumn(name).Data[base:base+vl], colWidth(s.cat, q.Fact, name))
-		}
-		return r
-	}
 	vals := make([]int64, len(q.Aggs))
 	for i, a := range q.Aggs {
 		switch a.Kind {
 		case plan.AggSumCol, plan.AggAvg:
-			vals[i] = eng.RedSum(loadCol(a.A), rowMask)
+			vals[i] = eng.RedSum(load(a.A), rowMask)
 		case plan.AggSumMul:
-			ra, rb := loadCol(a.A), loadCol(a.B)
+			ra, rb := load(a.A), load(a.B)
 			tmp := regs.fresh()
 			eng.MulVV(tmp, ra, rb)
 			vals[i] = eng.RedSum(tmp, rowMask)
 		case plan.AggSumSub:
 			// sum(a-b) = sum(a) - sum(b): two predicated reductions and a
 			// scalar subtract, avoiding bit-serial vv subtraction.
-			vals[i] = eng.RedSum(loadCol(a.A), rowMask) - eng.RedSum(loadCol(a.B), rowMask)
+			vals[i] = eng.RedSum(load(a.A), rowMask) - eng.RedSum(load(a.B), rowMask)
 			eng.Scalar(1)
 		case plan.AggCount:
 			vals[i] = rows
 		case plan.AggMin:
-			v, _ := eng.RedMin(loadCol(a.A), rowMask)
+			v, _ := eng.RedMin(load(a.A), rowMask)
 			vals[i] = int64(v)
 		case plan.AggMax:
-			v, _ := eng.RedMax(loadCol(a.A), rowMask)
+			v, _ := eng.RedMax(load(a.A), rowMask)
 			vals[i] = int64(v)
 		case plan.AggCountDistinct:
-			r := loadCol(a.A)
-			values := distinctUnder(fact.MustColumn(a.A).Data, base, rowMask)
+			r := load(a.A)
+			values := distinctUnder(data(a.A), 0, rowMask)
 			s.chargeDistinctLoop(int64(len(values)), eng.RegWidth(r))
 			acc.addDistinct(nil, i, values)
 		}
@@ -103,9 +147,8 @@ func (s *tileSweep) aggregateScalar(q *plan.Query, fact *storage.Table, base, vl
 // first unprocessed row identifies a group; one search per group column
 // (ANDed) recovers all of the group's rows; predicated reductions compute
 // the aggregates; XOR retires the group.
-func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl int,
-	rowMask *bitvec.Vector, regs *regAlloc, attrRegs map[string]cape.VReg,
-	loadFactCol func(string) cape.VReg) {
+func (s *tileSweep) aggregateGroups(q *plan.Query, data func(string) []uint32, rowMask *bitvec.Vector,
+	regs *regAlloc, attrRegs map[string]cape.VReg, load func(string) cape.VReg) {
 
 	eng := s.eng
 	acc := s.acc
@@ -113,7 +156,7 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 	groupRegs := make([]cape.VReg, len(q.GroupBy))
 	for i, g := range q.GroupBy {
 		if g.Table == q.Fact {
-			groupRegs[i] = loadFactCol(g.Column)
+			groupRegs[i] = load(g.Column)
 			continue
 		}
 		r, ok := attrRegs[g.Table+"."+g.Column]
@@ -122,13 +165,18 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 		}
 		groupRegs[i] = r
 	}
-	aggRegs := make([][2]cape.VReg, len(q.Aggs))
+	// aggRegs holds each aggregate's input registers; a SUM(a*b) also gets
+	// one product register, reused by every group.
+	aggRegs := make([][3]cape.VReg, len(q.Aggs))
 	for i, a := range q.Aggs {
 		if a.Kind != plan.AggCount {
-			aggRegs[i][0] = loadFactCol(a.A)
+			aggRegs[i][0] = load(a.A)
 		}
 		if a.Kind == plan.AggSumMul || a.Kind == plan.AggSumSub {
-			aggRegs[i][1] = loadFactCol(a.B)
+			aggRegs[i][1] = load(a.B)
+		}
+		if a.Kind == plan.AggSumMul {
+			aggRegs[i][2] = regs.fresh()
 		}
 	}
 
@@ -159,9 +207,8 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 				aggs[i] = eng.RedSum(aggRegs[i][0], groupMask) - eng.RedSum(aggRegs[i][1], groupMask)
 				eng.Scalar(1)
 			case plan.AggSumMul:
-				tmp := regs.fresh()
-				eng.MulVV(tmp, aggRegs[i][0], aggRegs[i][1])
-				aggs[i] = eng.RedSum(tmp, groupMask)
+				eng.MulVV(aggRegs[i][2], aggRegs[i][0], aggRegs[i][1])
+				aggs[i] = eng.RedSum(aggRegs[i][2], groupMask)
 			case plan.AggCount:
 				aggs[i] = groupRows
 			case plan.AggMin:
@@ -171,7 +218,7 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 				v, _ := eng.RedMax(aggRegs[i][0], groupMask)
 				aggs[i] = int64(v)
 			case plan.AggCountDistinct:
-				values := distinctUnder(fact.MustColumn(a.A).Data, base, groupMask)
+				values := distinctUnder(data(a.A), 0, groupMask)
 				s.chargeDistinctLoop(int64(len(values)), eng.RegWidth(aggRegs[i][0]))
 				acc.addDistinct(keys, i, values)
 				aggs[i] = 0
@@ -192,7 +239,7 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 // iterative loop would issue (vfirst + extract + search + mask AND +
 // predicated reductions + mask XOR + CP bookkeeping). Returns false when an
 // aggregate shape is unsupported, falling back to the literal loop.
-func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupReg cape.VReg, aggRegs [][2]cape.VReg,
+func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupReg cape.VReg, aggRegs [][3]cape.VReg,
 	rowMask *bitvec.Vector) bool {
 
 	for _, a := range q.Aggs {

@@ -11,12 +11,10 @@ import (
 	"castle/internal/storage"
 )
 
-// mksThreshold returns the minimum batch size worth a vmks.
+// mksThreshold returns the minimum probe-key batch size worth a vmks: one
+// cacheline of keys. Smaller batches use vmseq.vx, since sub-cacheline
+// fetches waste memory bandwidth (§6.2).
 func (s *tileSweep) mksThreshold() int {
-	if s.opts.MKSMinKeys > 0 {
-		return s.opts.MKSMinKeys
-	}
-	// One cacheline of keys: smaller fetches waste bandwidth (§6.2).
 	return s.eng.Config().Mem.LineBytes / 4
 }
 

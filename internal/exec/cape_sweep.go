@@ -2,9 +2,9 @@ package exec
 
 // cape_sweep.go drives the fused CAPE fact stage over one partition: Scan
 // (CSB loads) -> Filter -> JoinProbe per edge -> Aggregate. tileSweep is the
-// per-engine kernel context; the serial path runs one over the executor's
-// engine, the parallel path one per forked tile, and exec.Placed reuses the
-// filter/join half when the aggregation tail is placed on the CPU.
+// per-engine kernel context Castle.sweepFact runs each partition through;
+// exec.Placed sinks the filter/join half's output into a shipment when the
+// aggregation tail is placed on the CPU.
 
 import (
 	"context"
@@ -47,66 +47,67 @@ func (r *regAlloc) forCol(name string) (cape.VReg, bool) {
 	return v, false
 }
 
-// tileSweep is one engine's share of the fact sweep and its accounting: the
-// serial path runs a single sweep over the executor's own engine; the
-// parallel path runs one per forked tile, each on its own goroutine. A
-// sweep only reads shared state (catalog, options, storage, prepared
-// dimensions) and writes its own fields, which is what makes the fan-out
-// race-free.
+// tileSweep is one engine's share of the fact sweep and its accounting:
+// Castle.sweepFact runs one over the executor's own engine when serial and
+// one per forked tile when parallel, each on its own goroutine. A sweep
+// only reads shared state (catalog, options, storage, prepared dimensions)
+// and writes its own fields, which is what makes the fan-out race-free.
 type tileSweep struct {
 	cat  *stats.Catalog
 	opts CastleOptions
 	eng  *cape.Engine
-	acc  *groupAcc
-
-	perJoin      map[string]int64
-	filterCycles int64
-	aggCycles    int64
+	laneBooks
 
 	// span hosts the per-operator child spans: the "fact-sweep" span when
 	// serial, this tile's "tileN" span when parallel.
 	span *telemetry.Span
 }
 
-// runPartition executes the fused operator pipeline over one fact
-// partition: selections -> joins (right-deep then left-deep segments) ->
-// aggregation (Algorithm 2). Cancellation is checked at every operator
-// boundary within the partition.
-func (s *tileSweep) runPartition(ctx context.Context, p *plan.Physical, db *storage.Database,
-	dims []dimSide, base, vl int, needGPArith, camCapable bool) error {
+// capePart is one MAXVL fact partition after the fused Scan+Filter+JoinProbe
+// kernels: its row range, the surviving rows, and the register state a sink
+// aggregates or exports from.
+type capePart struct {
+	base, vl int
+	rowMask  *bitvec.Vector
+	regs     *regAlloc
+	attrRegs map[string]cape.VReg // "dim.attr" -> fact-aligned vector
+	load     func(string) cape.VReg
+	// compute is the cycles the filter and join kernels charged.
+	compute int64
+}
 
-	rowMask, regs, attrRegs, loadFactCol, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-	if err != nil {
-		return err
+// columnLoader returns a memoising loader that brings a column into a
+// register of regs on first use; data yields the column's partition-aligned
+// values.
+func (s *tileSweep) columnLoader(regs *regAlloc, table string, data func(string) []uint32) func(string) cape.VReg {
+	return func(name string) cape.VReg {
+		r, cached := regs.forCol(name)
+		if !cached {
+			s.eng.Load(r, data(name), colWidth(s.cat, table, name))
+		}
+		return r
 	}
-	return s.runAggregate(ctx, p, db, base, vl, rowMask, regs, attrRegs, loadFactCol,
-		needGPArith, camCapable)
 }
 
 // runFilterJoins executes the partition's Scan+Filter+JoinProbe operators
 // (the fused fact stage up to, but not including, aggregation) and returns
-// the surviving row mask plus the register state the aggregation tail needs:
-// the allocator, the materialized dimension-attribute vectors, and the
-// memoising fact-column loader.
+// the partition with its surviving row mask and the register state the
+// aggregation tail needs.
 func (s *tileSweep) runFilterJoins(ctx context.Context, p *plan.Physical, db *storage.Database,
-	dims []dimSide, base, vl int) (*bitvec.Vector, *regAlloc, map[string]cape.VReg, func(string) cape.VReg, error) {
+	dims []dimSide, base, vl int) (*capePart, error) {
 
 	q := p.Query
-	eng := s.eng
 	fact := db.MustTable(q.Fact)
-	eng.SetVL(vl)
-
-	regs := newRegAlloc(eng.Config().NumVRegs)
-	loadFactCol := func(name string) cape.VReg {
-		r, cached := regs.forCol(name)
-		if !cached {
-			col := fact.MustColumn(name)
-			eng.Load(r, col.Data[base:base+vl], colWidth(s.cat, q.Fact, name))
-		}
-		return r
-	}
-	rowMask, attrRegs, err := s.runFilterJoinsWith(ctx, p, db, dims, base, vl, regs, loadFactCol)
-	return rowMask, regs, attrRegs, loadFactCol, err
+	c0 := s.eng.TotalCycles()
+	s.eng.SetVL(vl)
+	pt := &capePart{base: base, vl: vl, regs: newRegAlloc(s.eng.Config().NumVRegs)}
+	pt.load = s.columnLoader(pt.regs, q.Fact, func(name string) []uint32 {
+		return fact.MustColumn(name).Data[base : base+vl]
+	})
+	var err error
+	pt.rowMask, pt.attrRegs, err = s.runFilterJoinsWith(ctx, p, db, dims, base, vl, pt.regs, pt.load)
+	pt.compute = s.eng.TotalCycles() - c0
+	return pt, err
 }
 
 // runFilterJoinsWith is runFilterJoins over caller-supplied register state:
@@ -186,18 +187,17 @@ func (s *tileSweep) runFilterJoinsWith(ctx context.Context, p *plan.Physical, db
 
 // runAggregate executes the partition's Aggregate operator (Algorithm 2),
 // fused on the row mask runFilterJoins produced.
-func (s *tileSweep) runAggregate(ctx context.Context, p *plan.Physical, db *storage.Database,
-	base, vl int, rowMask *bitvec.Vector, regs *regAlloc, attrRegs map[string]cape.VReg,
-	loadFactCol func(string) cape.VReg, needGPArith, camCapable bool) error {
+func (s *tileSweep) runAggregate(ctx context.Context, q *plan.Query, fact *storage.Table,
+	pt *capePart, needGPArith, camCapable bool) error {
 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	q := p.Query
 	eng := s.eng
-	fact := db.MustTable(q.Fact)
 	spa := s.span.Child("aggregate")
 	before := eng.TotalCycles()
+	data := func(name string) []uint32 { return fact.MustColumn(name).Data[pt.base : pt.base+pt.vl] }
+	rowMask, regs, load := pt.rowMask, pt.regs, pt.load
 	if needGPArith && camCapable {
 		// Bit-serial vv arithmetic requires the bitsliced layout: switch,
 		// carry the row mask across with vrelayout, and reload the
@@ -205,13 +205,9 @@ func (s *tileSweep) runAggregate(ctx context.Context, p *plan.Physical, db *stor
 		eng.SetLayout(cape.GPMode)
 		rowMask = eng.Relayout(rowMask)
 		regs = newRegAlloc(eng.Config().NumVRegs)
+		load = s.columnLoader(regs, q.Fact, data)
 	}
-
-	if len(q.GroupBy) == 0 {
-		s.aggregateScalar(q, fact, base, vl, rowMask, regs)
-	} else {
-		s.aggregateGroups(q, fact, base, vl, rowMask, regs, attrRegs, loadFactCol)
-	}
+	s.aggregate(q, data, rowMask, regs, pt.attrRegs, load)
 	cy := eng.TotalCycles() - before
 	s.aggCycles += cy
 	spa.SetInt("cycles", cy)

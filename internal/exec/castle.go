@@ -18,10 +18,6 @@ type CastleOptions struct {
 	// a CSB-resident partition back to back instead of materializing masks
 	// through main memory between operator sweeps.
 	Fusion bool
-	// MKSMinKeys is the minimum probe-key batch size for which vmks is
-	// emitted; smaller batches use vmseq.vx (§6.2: sub-cacheline batches
-	// waste memory bandwidth). Zero selects the cacheline-derived default.
-	MKSMinKeys int
 	// NoBulkAggFastPath forces the literal per-group Algorithm 2 loop even
 	// for single-column group-bys. The fast path computes identical
 	// results and bills identical cycles; this switch exists so tests can
@@ -48,7 +44,7 @@ const mergeScalarsPerRow = 12
 
 // Castle executes physical plans on a CAPE core.
 //
-// All mutable per-run accounting lives in a run-scoped book that is
+// All mutable per-run accounting lives in run-scoped books that are
 // published atomically when a run finishes, so the executor itself is
 // reentrant: nothing on the receiver is written mid-run. The underlying
 // cape.Engine still executes one run at a time — use one engine (and one
@@ -78,54 +74,7 @@ type Castle struct {
 	tel    *telemetry.Telemetry
 	parent *telemetry.Span
 
-	// last is the most recent run's closed books (nil before the first
-	// run). Accessors snapshot from here.
-	last atomic.Pointer[runBooks]
-}
-
-// runBooks is the run-scoped accounting of one RunContext invocation: the
-// per-join attribution, per-phase cycle tallies, and the finished
-// breakdown. Exactly one run writes a given runBooks; it is published to
-// Castle.last only after the run completes.
-type runBooks struct {
-	perJoin      map[string]int64
-	prepCycles   map[string]int64
-	prepRows     map[string]int64
-	filterCycles int64
-	aggCycles    int64
-
-	// Parallel-sweep accounting (tileCycles nil for serial runs).
-	tiles       int
-	tileCycles  []int64
-	tileRows    []int64
-	mergeCycles int64
-	elapsed     int64
-
-	stream StreamStats
-
-	breakdown *telemetry.Breakdown
-}
-
-// ParallelStats describes how the last run's fact sweep executed: how many
-// tiles it occupied, each tile's work, and the two cycle views — elapsed
-// (prep + max over tiles + merge) versus work (every tile cycle counts,
-// the energy/§6.3 view).
-type ParallelStats struct {
-	// Tiles is the number of tile engines the sweep used (1 = serial).
-	Tiles int
-	// TileCycles is each tile's sweep work in tile order (nil when serial).
-	TileCycles []int64
-	// TileRows is the fact rows each tile processed (nil when serial).
-	TileRows []int64
-	// MergeCycles is the CP-side merge of the partial group accumulators.
-	MergeCycles int64
-	// ElapsedCycles is the run's simulated elapsed time (what the engine's
-	// Stats advanced by).
-	ElapsedCycles int64
-	// WorkCycles is the total work: elapsed plus the overlapped tile
-	// cycles hidden under the critical tile. Equals ElapsedCycles for
-	// serial runs.
-	WorkCycles int64
+	lastRun
 }
 
 // NewCastle wraps a CAPE engine. The statistics catalog supplies column
@@ -147,38 +96,10 @@ func (c *Castle) SetParallelism(k int) { c.par.Store(int32(k)) }
 
 // SetStreaming toggles stream accounting for subsequent runs (see the
 // streaming field: pure-CAPE execution is already partition-pipelined, so
-// this changes reporting, not work). Safe to call concurrently with
-// RunContext.
+// this changes reporting, not work): one batch per MAXVL fact partition and
+// the peak CSB-resident partition bytes across the K concurrent tiles. Safe
+// to call concurrently with RunContext.
 func (c *Castle) SetStreaming(on bool) { c.streaming.Store(on) }
-
-// StreamStats returns the last run's streaming summary: one batch per
-// MAXVL fact partition and the peak CSB-resident partition bytes across
-// the K concurrent tiles. Zero for runs with streaming off.
-func (c *Castle) StreamStats() StreamStats {
-	b := c.last.Load()
-	if b == nil {
-		return StreamStats{}
-	}
-	return b.stream
-}
-
-// PerJoinCycles returns the cycles attributed to each join edge of the
-// last Run, keyed by dimension name (§7.2's per-join analysis; join-edge
-// work only — selections, aggregation and dimension prep are excluded).
-// For parallel runs the attribution sums work across tiles. The map is a
-// defensive copy: callers cannot alias the executor's live accounting
-// across runs.
-func (c *Castle) PerJoinCycles() map[string]int64 {
-	b := c.last.Load()
-	if b == nil {
-		return map[string]int64{}
-	}
-	out := make(map[string]int64, len(b.perJoin))
-	for k, v := range b.perJoin {
-		out[k] = v
-	}
-	return out
-}
 
 // SetTelemetry attaches an observability pipeline for subsequent Runs:
 // operator spans nest under parent (typically the caller's "execute"
@@ -187,36 +108,6 @@ func (c *Castle) PerJoinCycles() map[string]int64 {
 func (c *Castle) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) {
 	c.tel = tel
 	c.parent = parent
-}
-
-// Breakdown returns the last Run's per-operator cycle breakdown (the
-// EXPLAIN ANALYZE surface). The operator rows partition the run's total
-// cycles exactly; parallel runs report per-tile sweep work plus an
-// explicit negative "parallel-overlap" credit for the cycles hidden under
-// the critical tile. Returns a copy; nil before the first Run.
-func (c *Castle) Breakdown() *telemetry.Breakdown {
-	b := c.last.Load()
-	if b == nil {
-		return nil
-	}
-	return b.breakdown.Clone()
-}
-
-// ParallelStats returns the last run's sweep execution profile (zero value
-// before the first run). Slices are defensive copies.
-func (c *Castle) ParallelStats() ParallelStats {
-	b := c.last.Load()
-	if b == nil {
-		return ParallelStats{}
-	}
-	return ParallelStats{
-		Tiles:         b.tiles,
-		TileCycles:    append([]int64(nil), b.tileCycles...),
-		TileRows:      append([]int64(nil), b.tileRows...),
-		MergeCycles:   b.mergeCycles,
-		ElapsedCycles: b.elapsed,
-		WorkCycles:    b.elapsed + overlapHidden(b.tileCycles),
-	}
 }
 
 // Run executes a physical plan and returns the result relation. Cycle and
@@ -247,11 +138,6 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	q := p.Query
 	eng := c.eng
 	cfg := eng.Config()
-	run := &runBooks{
-		perJoin:    make(map[string]int64, len(p.Joins)),
-		prepCycles: make(map[string]int64, len(p.Joins)),
-		prepRows:   make(map[string]int64, len(p.Joins)),
-	}
 	runStart := eng.TotalCycles()
 
 	camCapable := cfg.EnableADL
@@ -268,6 +154,7 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	if camCapable {
 		eng.SetLayout(cape.CAMMode)
 	}
+	bk := newBooks()
 	dims := make([]dimSide, len(p.Joins))
 	for i, e := range p.Joins {
 		if err := ctx.Err(); err != nil {
@@ -277,65 +164,52 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 		before := eng.TotalCycles()
 		dims[i] = capePrepareDim(eng, c.cat, q, e, db)
 		cy := eng.TotalCycles() - before
-		run.prepCycles[e.Dim] = cy
-		run.prepRows[e.Dim] = int64(len(dims[i].keys))
+		bk.row("prep:"+e.Dim, "CAPE", cy, int64(len(dims[i].keys)))
 		sp.SetInt("cycles", cy)
 		sp.SetInt("rows_out", int64(len(dims[i].keys)))
 		sp.SetInt("rows_in", int64(dims[i].totalRows))
 		sp.End()
 	}
 
-	// Fact sweep: serial on this engine, or morsel-parallel across forked
-	// tiles.
+	// The fused fact sweep: filter, joins and Algorithm 2 per partition.
 	fact := db.MustTable(q.Fact)
 	factRows := fact.Rows()
-	maxvl := cfg.MAXVL
-	parts := (factRows + maxvl - 1) / maxvl
-
+	parts := (factRows + cfg.MAXVL - 1) / cfg.MAXVL
 	k := fanOut(int(c.par.Load()), parts)
-	run.tiles = k
-
-	acc := newGroupAcc(q.Aggs)
-
 	sweep := c.parent.Child("fact-sweep")
 	sweepStart := eng.TotalCycles()
-	if k == 1 {
-		s := &tileSweep{cat: c.cat, opts: c.opts, eng: eng, acc: acc, perJoin: run.perJoin, span: sweep}
-		for base := 0; base < factRows; base += maxvl {
-			vl := factRows - base
-			if vl > maxvl {
-				vl = maxvl
-			}
-			if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
-				return nil, err
-			}
-			if camCapable {
-				// Next partition returns to CAM mode for selections/joins.
-				eng.SetLayout(cape.CAMMode)
-			}
-		}
-		if !c.opts.Fusion {
-			s.chargeFissionOverhead(p, parts, maxvl)
-		}
-		run.filterCycles, run.aggCycles = s.filterCycles, s.aggCycles
-	} else {
-		if err := c.runParallelSweep(ctx, run, p, db, dims, factRows, parts, maxvl, k,
-			needGPArith, camCapable, acc, sweep); err != nil {
-			return nil, err
-		}
+	sw, err := c.sweepFact(ctx, p, db, dims, k, sweep, func(s *tileSweep, _ int, pt *capePart) error {
+		return s.runAggregate(ctx, q, fact, pt, needGPArith, camCapable)
+	})
+	if err != nil {
+		return nil, err
+	}
+	acc := sw.lanes[0].acc
+	var mergeCycles int64
+	if k > 1 {
+		// CP-side merge of the per-tile partial group tables, in fixed tile
+		// order so the accumulated result is deterministic.
+		msp := sweep.Child("merge")
+		mergeStart := eng.TotalCycles()
+		var partialRows int64
+		acc, partialRows = sw.merge(q)
+		eng.Scalar(mergeScalarsPerRow * partialRows)
+		eng.CPAccess(partialRows, int64(len(acc.order))*16)
+		mergeCycles = eng.TotalCycles() - mergeStart
+		msp.SetInt("cycles", mergeCycles)
+		msp.SetInt("rows", partialRows)
+		msp.End()
 	}
 	sweep.SetInt("cycles", eng.TotalCycles()-sweepStart)
-	sweep.SetInt("rows", int64(factRows))
-	sweep.SetInt("partitions", int64(parts))
-	sweep.SetInt("tiles", int64(k))
 	sweep.End()
 
+	var stream StreamStats
 	if c.streaming.Load() && factRows > 0 {
 		resident := factRows
-		if resident > maxvl {
-			resident = maxvl
+		if resident > cfg.MAXVL {
+			resident = cfg.MAXVL
 		}
-		run.stream = StreamStats{
+		stream = StreamStats{
 			Batches:        int64(parts),
 			PeakBatchBytes: int64(k) * int64(4*resident*factSweepCols(q)),
 		}
@@ -345,167 +219,118 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 		acc.add(nil, make([]int64, len(q.Aggs)), 0)
 	}
 	res := acc.result(q)
-	run.elapsed = eng.TotalCycles() - runStart
-	c.finishBreakdown(run, p, int64(factRows), int64(len(res.Rows)))
-	c.recordRunMetrics(p, db, int64(factRows))
-	c.last.Store(run)
+	groups := int64(len(res.Rows))
+	if k == 1 {
+		bk.row("filter", "CAPE", sw.filterCycles, int64(factRows))
+		for i, e := range p.Joins {
+			bk.row("join:"+e.Dim, "CAPE", sw.perJoin[e.Dim], int64(len(dims[i].keys)))
+		}
+		bk.row("aggregate", "CAPE", sw.aggCycles, groups)
+	} else {
+		bk.lanes("CAPE", sw.cycles, sw.rows)
+		bk.merge("CAPE", mergeCycles, groups)
+	}
+	elapsed := eng.TotalCycles() - runStart
+	breakdown := bk.close("CAPE", elapsed)
+	countRowsScanned(c.tel, db, q, DeviceCAPE, nil)
+	c.last.Store(&closedRun{capeCycles: elapsed, perJoin: sw.perJoin, stream: stream,
+		parallel: bk.parallel, tail: DeviceCAPE, breakdown: breakdown})
 	return res, nil
 }
 
-// runParallelSweep forks the engine into k tiles and executes the fact
-// sweep morsel-parallel: partition m runs on tile m%k (a static assignment
-// keeps every tile's charge sequence deterministic), each tile accumulates
-// into its own partial groupAcc, and the partials merge into acc in fixed
-// tile order on the primary engine's CP. After the sweep the parent engine
-// absorbs the critical tile's Stats (elapsed view) and every tile's memory
-// traffic (work view).
-func (c *Castle) runParallelSweep(ctx context.Context, run *runBooks, p *plan.Physical,
-	db *storage.Database, dims []dimSide, factRows, parts, maxvl, k int,
-	needGPArith, camCapable bool, acc *groupAcc, sweep *telemetry.Span) error {
+// tailSweep returns a kernel context on the primary engine that aggregates
+// into acc: the CAPE aggregation tail of a split run.
+func (c *Castle) tailSweep(acc *groupAcc) *tileSweep {
+	return &tileSweep{cat: c.cat, opts: c.opts, eng: c.eng, laneBooks: laneBooks{acc: acc}}
+}
 
-	eng := c.eng
+// sweepFact is CAPE's only sweep over a fact table. Lane t runs the MAXVL
+// partitions t, t+k, t+2k, ... — on the primary engine when k is 1, on
+// forked tile t otherwise (a static assignment keeps every tile's charge
+// sequence deterministic) — through the fused Scan+Filter+JoinProbe
+// kernels, and hands each partition to sink. With fusion disabled each lane
+// then pays the fission overhead for the partitions it swept. Forked tiles
+// fold back into the primary engine: elapsed advances by the critical
+// tile, memory traffic by the sum.
+func (c *Castle) sweepFact(ctx context.Context, p *plan.Physical, db *storage.Database, dims []dimSide,
+	k int, span *telemetry.Span, sink func(s *tileSweep, lane int, pt *capePart) error) (*laneSweep, error) {
+
 	q := p.Query
-	group := eng.Fork(k)
+	cfg := c.eng.Config()
+	maxvl := cfg.MAXVL
+	factRows := db.MustTable(q.Fact).Rows()
+	parts := (factRows + maxvl - 1) / maxvl
+	span.SetInt("rows", int64(factRows))
+	span.SetInt("partitions", int64(parts))
+	span.SetInt("tiles", int64(k))
 
+	engines := []*cape.Engine{c.eng}
+	var group *cape.TileGroup
+	if k > 1 {
+		group = c.eng.Fork(k)
+		engines = group.Tiles()
+	}
 	sweeps := make([]*tileSweep, k)
-	for i, t := range group.Tiles() {
-		if c.tel != nil {
-			// Tile hooks stream live, so telemetry counters accumulate
-			// work cycles (the sum over tiles), not elapsed.
-			AttachEngineTelemetry(t, c.tel)
-		}
-		sweeps[i] = &tileSweep{
-			cat:     c.cat,
-			opts:    c.opts,
-			eng:     t,
-			acc:     newGroupAcc(q.Aggs),
-			perJoin: make(map[string]int64, len(p.Joins)),
-			span:    sweep.Child(fmt.Sprintf("tile%d", i)),
+	books := make([]*laneBooks, k)
+	for i, eng := range engines {
+		sweeps[i] = &tileSweep{cat: c.cat, opts: c.opts, eng: eng, laneBooks: newLaneBooks(q), span: span}
+		books[i] = &sweeps[i].laneBooks
+		if k > 1 {
+			if c.tel != nil {
+				// Tile hooks stream live, so telemetry counters accumulate
+				// work cycles (the sum over tiles), not elapsed.
+				AttachEngineTelemetry(eng, c.tel)
+			}
+			sweeps[i].span = span.Child(fmt.Sprintf("tile%d", i))
 		}
 	}
 
 	rows := make([]int64, k)
-	err := runLanes(k, func(ti int) error {
-		s := sweeps[ti]
-		defer s.span.End()
-		for pi := ti; pi < parts; pi += k {
+	err := runLanes(k, func(lane int) error {
+		s := sweeps[lane]
+		if k > 1 {
+			defer s.span.End()
+		}
+		for pi := lane; pi < parts; pi += k {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			base := pi * maxvl
 			vl := factRows - base
 			if vl > maxvl {
 				vl = maxvl
 			}
-			if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
+			pt, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
+			if err != nil {
 				return err
 			}
-			if camCapable {
+			if err := sink(s, lane, pt); err != nil {
+				return err
+			}
+			if cfg.EnableADL {
+				// The next partition returns to CAM mode for selections and
+				// joins.
 				s.eng.SetLayout(cape.CAMMode)
 			}
-			rows[ti] += int64(vl)
+			rows[lane] += int64(vl)
 		}
 		if !c.opts.Fusion {
-			s.chargeFissionOverhead(p, (parts-ti+k-1)/k, maxvl)
+			s.chargeFissionOverhead(p, (parts-lane+k-1)/k, maxvl)
 		}
-		s.span.SetInt("cycles", s.eng.TotalCycles())
-		s.span.SetInt("rows", rows[ti])
+		if k > 1 {
+			s.span.SetInt("cycles", s.eng.TotalCycles())
+			s.span.SetInt("rows", rows[lane])
+		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	// Fold the tiles back into the parent: elapsed advances by the
-	// critical tile, traffic by the sum.
-	run.tileCycles = group.Merge()
-	run.tileRows = rows
-	for _, s := range sweeps {
-		for d, cy := range s.perJoin {
-			run.perJoin[d] += cy
-		}
-		run.filterCycles += s.filterCycles
-		run.aggCycles += s.aggCycles
+	var cycles []int64
+	if group != nil {
+		cycles = group.Merge()
 	}
-
-	// CP-side merge of the per-tile partial group tables, in fixed tile
-	// order so the accumulated result is deterministic.
-	msp := sweep.Child("merge")
-	mergeStart := eng.TotalCycles()
-	var partialRows int64
-	for _, s := range sweeps {
-		acc.merge(s.acc)
-		partialRows += int64(len(s.acc.order))
-	}
-	eng.Scalar(mergeScalarsPerRow * partialRows)
-	eng.CPAccess(partialRows, int64(len(acc.order))*16)
-	run.mergeCycles = eng.TotalCycles() - mergeStart
-	msp.SetInt("cycles", run.mergeCycles)
-	msp.SetInt("rows", partialRows)
-	msp.End()
-	return nil
-}
-
-// finishBreakdown closes the per-operator books for the last Run. The
-// rows partition the total exactly: whatever the phase regions did not
-// cover (layout switches, vsetvl, fork dispatch, inter-phase scalars)
-// lands in an explicit "overhead" row. Parallel runs replace the serial
-// filter/join/aggregate rows with per-tile sweep work plus a negative
-// "parallel-overlap" credit — tiles run concurrently, so only the critical
-// tile's cycles are elapsed time — and a "merge" row.
-func (c *Castle) finishBreakdown(run *runBooks, p *plan.Physical, factRows, groups int64) {
-	b := &telemetry.Breakdown{Device: "CAPE", TotalCycles: run.elapsed}
-	var covered int64
-	for _, e := range p.Joins {
-		cy := run.prepCycles[e.Dim]
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "prep:" + e.Dim, Device: "CAPE", Cycles: cy, Rows: run.prepRows[e.Dim]})
-		covered += cy
-	}
-	if run.tileCycles == nil {
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "filter", Device: "CAPE", Cycles: run.filterCycles, Rows: factRows})
-		covered += run.filterCycles
-		for _, e := range p.Joins {
-			cy := run.perJoin[e.Dim]
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: "join:" + e.Dim, Device: "CAPE", Cycles: cy, Rows: run.prepRows[e.Dim]})
-			covered += cy
-		}
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "aggregate", Device: "CAPE", Cycles: run.aggCycles, Rows: groups})
-		covered += run.aggCycles
-	} else {
-		for t, cy := range run.tileCycles {
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: fmt.Sprintf("sweep[%d]", t), Device: "CAPE", Cycles: cy, Rows: run.tileRows[t]})
-			covered += cy
-		}
-		// The tiles overlapped: only the critical tile is elapsed time, so
-		// credit the hidden work back with an explicit negative row.
-		hidden := overlapHidden(run.tileCycles)
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "parallel-overlap", Device: "CAPE", Cycles: -hidden, Rows: -1})
-		covered -= hidden
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "merge", Device: "CAPE", Cycles: run.mergeCycles, Rows: groups})
-		covered += run.mergeCycles
-	}
-	b.Operators = append(b.Operators, telemetry.OperatorStats{
-		Operator: "overhead", Device: "CAPE", Cycles: run.elapsed - covered, Rows: -1})
-	run.breakdown = b
-}
-
-// recordRunMetrics updates run-level counters (rows scanned) on the
-// attached registry; class-cycle counters stream live via the engine hook.
-func (c *Castle) recordRunMetrics(p *plan.Physical, db *storage.Database, factRows int64) {
-	if c.tel == nil {
-		return
-	}
-	scanned := factRows
-	for _, e := range p.Joins {
-		scanned += int64(db.MustTable(e.Dim).Rows())
-	}
-	c.tel.Metrics().Counter(telemetry.MetricRowsScanned,
-		"Rows scanned across fact and dimension tables.",
-		telemetry.L("device", "cape")).Add(scanned)
+	return sumLanes(books, rows, cycles), nil
 }
 
 // factSweepCols counts the distinct fact-aligned vectors one partition

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"castle/internal/baseline"
+	"castle/internal/bitvec"
 	"castle/internal/plan"
 	"castle/internal/storage"
 	"castle/internal/telemetry"
@@ -37,43 +38,17 @@ type CPUExec struct {
 	// starts, bounding the working set (materialized attribute columns and
 	// selection bitmap) at O(K·batch) rows. Results are bit-identical.
 	streaming atomic.Bool
-	// batchRows is the streaming chunk size in fact rows (<= 0 selects
-	// defaultStreamBatchRows).
-	batchRows atomic.Int32
 
 	tel    *telemetry.Telemetry
 	parent *telemetry.Span
 
-	// last is the most recent run's closed books (nil before the first run).
-	last atomic.Pointer[cpuRunBooks]
+	lastRun
 }
 
-// cpuRunBooks is the run-scoped accounting of one RunContext invocation.
-type cpuRunBooks struct {
-	perJoin     map[string]int64
-	prepCycles  map[string]int64
-	prepRows    map[string]int64
-	buildCycles map[string]int64
-
-	filterCycles int64
-	aggCycles    int64
-
-	// Parallel-sweep accounting (coreCycles nil for serial runs).
-	cores       int
-	coreCycles  []int64
-	coreRows    []int64
-	mergeCycles int64
-	elapsed     int64
-
-	stream StreamStats
-
-	breakdown *telemetry.Breakdown
-}
-
-// defaultStreamBatchRows is the CPU streaming chunk size: large enough to
-// amortize per-chunk overhead, small enough that the per-core working set
-// stays cache-resident.
-const defaultStreamBatchRows = 32768
+// streamBatchRows is the CPU streaming chunk size in fact rows: large
+// enough to amortize per-chunk overhead, small enough that the per-core
+// working set stays cache-resident.
+const streamBatchRows = 32768
 
 // NewCPUExec wraps a baseline CPU.
 func NewCPUExec(cpu *baseline.CPU) *CPUExec { return &CPUExec{cpu: cpu} }
@@ -92,39 +67,10 @@ func (x *CPUExec) SetParallelism(k int) { x.par.Store(int32(k)) }
 
 // SetStreaming toggles chunked fact sweeps for subsequent Runs. Safe to
 // call concurrently with RunContext; an in-flight run keeps the mode it
-// observed at entry.
+// observed at entry. A single device has no crossing to hide, so a
+// streamed run's StreamStats report batches and peak resident chunk bytes
+// with zero overlap.
 func (x *CPUExec) SetStreaming(on bool) { x.streaming.Store(on) }
-
-// SetStreamBatchRows sets the streaming chunk size in fact rows (values
-// <= 0 restore the default).
-func (x *CPUExec) SetStreamBatchRows(n int) { x.batchRows.Store(int32(n)) }
-
-// StreamStats returns the last run's streaming summary (batches swept and
-// peak resident chunk bytes; OverlapCycles is always zero on a single
-// device — there is no crossing to hide). Zero for materializing runs.
-func (x *CPUExec) StreamStats() StreamStats {
-	b := x.last.Load()
-	if b == nil {
-		return StreamStats{}
-	}
-	return b.stream
-}
-
-// PerJoinCycles returns cycles attributed to each join edge of the last
-// Run, keyed by dimension name (build + probe; for parallel runs the build
-// on the primary core plus probe work summed across cores). The map is a
-// copy; callers may mutate it freely.
-func (x *CPUExec) PerJoinCycles() map[string]int64 {
-	b := x.last.Load()
-	if b == nil {
-		return map[string]int64{}
-	}
-	out := make(map[string]int64, len(b.perJoin))
-	for k, v := range b.perJoin {
-		out[k] = v
-	}
-	return out
-}
 
 // SetTelemetry attaches a telemetry sink and the span Run's operator spans
 // should nest under. Both may be nil (telemetry off). Not safe to call
@@ -132,36 +78,6 @@ func (x *CPUExec) PerJoinCycles() map[string]int64 {
 func (x *CPUExec) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) {
 	x.tel = tel
 	x.parent = parent
-}
-
-// Breakdown returns the per-operator cycle breakdown of the last Run. The
-// rows partition TotalCycles exactly; parallel runs report per-core sweep
-// work plus an explicit negative "parallel-overlap" credit for cycles
-// hidden under the critical core. Returns a copy; nil before the first Run.
-func (x *CPUExec) Breakdown() *telemetry.Breakdown {
-	b := x.last.Load()
-	if b == nil {
-		return nil
-	}
-	return b.breakdown.Clone()
-}
-
-// ParallelStats returns the last run's sweep execution profile (zero value
-// before the first run). Tiles counts cores on this device; slices are
-// defensive copies.
-func (x *CPUExec) ParallelStats() ParallelStats {
-	b := x.last.Load()
-	if b == nil {
-		return ParallelStats{}
-	}
-	return ParallelStats{
-		Tiles:         b.cores,
-		TileCycles:    append([]int64(nil), b.coreCycles...),
-		TileRows:      append([]int64(nil), b.coreRows...),
-		MergeCycles:   b.mergeCycles,
-		ElapsedCycles: b.elapsed,
-		WorkCycles:    b.elapsed + overlapHidden(b.coreCycles),
-	}
 }
 
 // Run executes a bound query and returns its result relation.
@@ -187,23 +103,15 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 		ctx = context.Background()
 	}
 	cpu := x.cpu
-	fact := db.MustTable(q.Fact)
-	rows := fact.Rows()
-	run := &cpuRunBooks{
-		perJoin:     make(map[string]int64, len(q.Joins)),
-		prepCycles:  make(map[string]int64, len(q.Joins)),
-		prepRows:    make(map[string]int64, len(q.Joins)),
-		buildCycles: make(map[string]int64, len(q.Joins)),
-	}
+	rows := db.MustTable(q.Fact).Rows()
 	runStart := cpu.Cycles()
-
-	k := fanOut(int(x.par.Load()), rows)
-	run.cores = k
+	bk := newBooks()
 
 	// Dimension prep on the primary core: selection scans plus key and
 	// attribute-value collection (collection is functional only; the scans
 	// carry the cycle cost).
 	joins := make([]dimJoin, 0, len(q.Joins))
+	prepRows := make(map[string]int64, len(q.Joins))
 	for _, e := range q.Joins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -212,9 +120,10 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 		prepStart := cpu.Cycles()
 		j := cpuPrepareDim(cpu, q, e, db)
 		joins = append(joins, j)
-		run.prepCycles[e.Dim] = cpu.Cycles() - prepStart
-		run.prepRows[e.Dim] = int64(len(j.keys))
-		spp.SetInt("cycles", run.prepCycles[e.Dim])
+		cy := cpu.Cycles() - prepStart
+		prepRows[e.Dim] = int64(len(j.keys))
+		bk.row("prep:"+e.Dim, "CPU", cy, prepRows[e.Dim])
+		spp.SetInt("cycles", cy)
 		spp.SetInt("rows_in", int64(db.MustTable(e.Dim).Rows()))
 		spp.SetInt("rows_out", int64(len(j.keys)))
 		spp.End()
@@ -223,223 +132,218 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 	// later probes see fewer rows.
 	sort.SliceStable(joins, func(i, j int) bool { return joins[i].fraction < joins[j].fraction })
 
-	acc := newGroupAcc(q.Aggs)
-	streaming := x.streaming.Load()
-	if k == 1 {
-		s := &cpuSweep{cpu: cpu, acc: acc, perJoin: run.perJoin, span: x.parent}
-		if streaming {
-			// Streaming: hash tables build once (their cycles fold into the
-			// same per-join books the inline builds would), then the fact
-			// range sweeps in bounded chunks, each folded into acc before
-			// the next starts.
-			tables, err := x.buildJoinTables(ctx, run, joins)
-			if err != nil {
-				return nil, err
-			}
-			step := x.streamStep()
-			attrCount := streamAttrCount(joins)
-			for base := 0; base < rows; base += step {
-				end := base + step
-				if end > rows {
-					end = rows
-				}
-				if err := s.run(ctx, q, db, joins, tables, base, end); err != nil {
-					return nil, err
-				}
-				run.stream.Batches++
-				if b := streamResidentBytes(end-base, attrCount); b > run.stream.PeakBatchBytes {
-					run.stream.PeakBatchBytes = b
-				}
-			}
-		} else {
-			// Serial: one sweep over the whole fact range on the primary
-			// core, building each join's hash table inline (charge order
-			// identical to the pipelined build-probe-build-probe sequence).
-			if err := s.run(ctx, q, db, joins, nil, 0, rows); err != nil {
-				return nil, err
-			}
-		}
-		run.filterCycles, run.aggCycles = s.filterCycles, s.aggCycles
-	} else {
-		if err := x.runParallelSweep(ctx, run, q, db, joins, rows, k, acc, streaming); err != nil {
-			return nil, err
-		}
+	// The fact sweep: filter, probes and the aggregation visit per chunk.
+	k := fanOut(int(x.par.Load()), rows)
+	step := 0
+	if x.streaming.Load() {
+		step = streamBatchRows
 	}
-
-	run.elapsed = cpu.Cycles() - runStart
-	x.finishBreakdown(run, q, int64(rows), int64(len(acc.order)))
-	if x.tel != nil {
-		scanned := int64(rows)
-		for _, e := range q.Joins {
-			scanned += int64(db.MustTable(e.Dim).Rows())
-		}
-		x.tel.Metrics().Counter(telemetry.MetricRowsScanned, "Rows scanned across fact and dimension tables.",
-			telemetry.L("device", "cpu")).Add(scanned)
-	}
-	x.last.Store(run)
-	return acc.result(q), nil
-}
-
-// runParallelSweep builds every join's hash tables once on the primary
-// core, forks k sibling cores, and sweeps contiguous fact-row ranges on
-// them concurrently. The primary core absorbs the critical (max-cycle)
-// core's elapsed time and every core's memory traffic, then pays a merge
-// pass that folds the per-core partial group tables together in fixed core
-// order.
-func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *plan.Query,
-	db *storage.Database, joins []dimJoin, rows, k int, acc *groupAcc, streaming bool) error {
-
-	cpu := x.cpu
-
-	tables, err := x.buildJoinTables(ctx, run, joins)
-	if err != nil {
-		return err
-	}
-
-	cores := cpu.Fork(k)
-	sweep := x.parent.Child("fact-sweep")
-	sweepStart := cpu.Cycles()
-	sweeps := make([]*cpuSweep, k)
-	for i, core := range cores {
-		if x.tel != nil {
-			// Per-core hooks stream live, so telemetry counters accumulate
-			// work cycles (the sum over cores), not elapsed. Each core needs
-			// its own bridge closure — the bridge keeps local state.
-			AttachCPUTelemetry(core, x.tel)
-		}
-		sweeps[i] = &cpuSweep{
-			cpu:     core,
-			acc:     newGroupAcc(q.Aggs),
-			perJoin: make(map[string]int64, len(joins)),
-			span:    sweep.Child(fmt.Sprintf("core%d", i)),
-		}
-	}
-
-	run.coreRows = make([]int64, k)
-	step := x.streamStep()
 	attrCount := streamAttrCount(joins)
 	laneBatches := make([]int64, k)
 	lanePeak := make([]int64, k)
-	err = runLanes(k, func(ti int) error {
-		s := sweeps[ti]
-		defer s.span.End()
-		base, end := ti*rows/k, (ti+1)*rows/k
-		var err error
-		if streaming {
-			for lo := base; lo < end && err == nil; lo += step {
-				hi := lo + step
-				if hi > end {
-					hi = end
-				}
-				err = s.run(ctx, q, db, joins, tables, lo, hi)
-				laneBatches[ti]++
-				if b := streamResidentBytes(hi-lo, attrCount); b > lanePeak[ti] {
-					lanePeak[ti] = b
-				}
-			}
-		} else {
-			err = s.run(ctx, q, db, joins, tables, base, end)
+	sweep := x.parent.Child("fact-sweep")
+	sweepStart := cpu.Cycles()
+	sw, builds, err := x.sweepFact(ctx, q, db, joins, k, step, sweep, func(s *cpuSweep, lane int, c *cpuChunk) error {
+		if err := s.runAggregate(ctx, q, db, c.sel, c.attrCols, c.lo, c.hi); err != nil {
+			return err
 		}
-		s.span.SetInt("cycles", s.cpu.Cycles())
-		s.span.SetInt("rows", int64(end-base))
-		return err
+		laneBatches[lane]++
+		if b := streamResidentBytes(c.hi-c.lo, attrCount); b > lanePeak[lane] {
+			lanePeak[lane] = b
+		}
+		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if streaming {
+	acc := sw.lanes[0].acc
+	var mergeCycles int64
+	if k > 1 {
+		// Merge the per-core partial group tables on the primary core, in
+		// fixed core order so the accumulated result is deterministic: one
+		// hash+update per partial row into a table sized by the merged group
+		// count.
+		msp := sweep.Child("merge")
+		mergeStart := cpu.Cycles()
+		var partialRows int64
+		acc, partialRows = sw.merge(q)
+		kc := cpu.Config().Kernels
+		cpu.ChargeCompute(float64(partialRows) * (kc.HashCyclesPerKey + kc.AggUpdateCyclesPerRow))
+		cpu.ChargeRandomAccesses(partialRows, int64(len(acc.order))*32)
+		mergeCycles = cpu.Cycles() - mergeStart
+		msp.SetInt("cycles", mergeCycles)
+		msp.SetInt("rows", partialRows)
+		msp.End()
+	}
+	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
+	sweep.End()
+
+	// Hash-table builds count toward their join edge.
+	for d, cy := range builds {
+		sw.perJoin[d] += cy
+	}
+	var stream StreamStats
+	if step > 0 {
 		// Lanes run concurrently, so peak residency is the sum of per-lane
 		// chunk high-water marks.
 		for i := range laneBatches {
-			run.stream.Batches += laneBatches[i]
-			run.stream.PeakBatchBytes += lanePeak[i]
+			stream.Batches += laneBatches[i]
+			stream.PeakBatchBytes += lanePeak[i]
 		}
 	}
-
-	// Fold the cores back into the primary: elapsed advances by the critical
-	// core (raw cycles, so sub-cycle differences cannot flip the choice),
-	// traffic by the sum.
-	run.coreCycles = make([]int64, k)
-	var maxRaw float64
-	for i, s := range sweeps {
-		run.coreCycles[i] = s.cpu.Cycles()
-		run.coreRows[i] = int64((i+1)*rows/k - i*rows/k)
-		if raw := s.cpu.RawCycles(); raw > maxRaw {
-			maxRaw = raw
+	groups := int64(len(acc.order))
+	if k == 1 {
+		bk.row("filter", "CPU", sw.filterCycles, int64(rows))
+		for _, e := range q.Joins {
+			bk.row("join:"+e.Dim, "CPU", sw.perJoin[e.Dim], -1)
 		}
-		for d, cy := range s.perJoin {
-			run.perJoin[d] += cy
+		bk.row("aggregate", "CPU", sw.aggCycles, groups)
+	} else {
+		for _, e := range q.Joins {
+			bk.row("build:"+e.Dim, "CPU", builds[e.Dim], prepRows[e.Dim])
 		}
-		run.filterCycles += s.filterCycles
-		run.aggCycles += s.aggCycles
+		bk.lanes("CPU", sw.cycles, sw.rows)
+		bk.merge("CPU", mergeCycles, groups)
 	}
-	cpu.AbsorbElapsed(maxRaw)
-	for _, core := range cores {
-		cpu.AbsorbTraffic(core)
-	}
-
-	// Merge the per-core partial group tables on the primary core, in fixed
-	// core order so the accumulated result is deterministic: one hash+update
-	// per partial row into a table sized by the merged group count.
-	msp := sweep.Child("merge")
-	mergeStart := cpu.Cycles()
-	var partialRows int64
-	for _, s := range sweeps {
-		acc.merge(s.acc)
-		partialRows += int64(len(s.acc.order))
-	}
-	kc := cpu.Config().Kernels
-	cpu.ChargeCompute(float64(partialRows) * (kc.HashCyclesPerKey + kc.AggUpdateCyclesPerRow))
-	cpu.ChargeRandomAccesses(partialRows, int64(len(acc.order))*32)
-	run.mergeCycles = cpu.Cycles() - mergeStart
-	msp.SetInt("cycles", run.mergeCycles)
-	msp.SetInt("rows", partialRows)
-	msp.End()
-
-	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
-	sweep.SetInt("rows", int64(rows))
-	sweep.SetInt("cores", int64(k))
-	sweep.End()
-	return nil
+	elapsed := cpu.Cycles() - runStart
+	breakdown := bk.close("CPU", elapsed)
+	countRowsScanned(x.tel, db, q, DeviceCPU, nil)
+	x.last.Store(&closedRun{cpuCycles: elapsed, perJoin: sw.perJoin, stream: stream,
+		parallel: bk.parallel, tail: DeviceCPU, breakdown: breakdown})
+	return acc.result(q), nil
 }
 
-// buildJoinTables builds every join's hash table once on the primary core,
-// in probe order, folding the build cycles into both the per-join and
-// per-build books (serial streaming reports them inside "join:" rows,
-// parallel runs as explicit "build:" rows).
-func (x *CPUExec) buildJoinTables(ctx context.Context, run *cpuRunBooks, joins []dimJoin) ([]joinTable, error) {
+// cpuChunk is one fact-row chunk [lo, hi) after the filter and probe
+// kernels: the surviving selection (nil = every row), the materialized
+// chunk-aligned dimension-attribute columns keyed "dim.attr", and the
+// cycles the kernels charged.
+type cpuChunk struct {
+	lo, hi   int
+	sel      *bitvec.Vector
+	attrCols map[string][]uint32
+	compute  int64
+}
+
+// sweepFact is the CPU's only sweep over a fact table. Lane t owns the
+// contiguous row range [t·rows/k, (t+1)·rows/k) — on the primary core when
+// k is 1, on forked core t otherwise. A lane with step > 0 sweeps its range
+// in step-row chunks; otherwise the whole range is one chunk. Each chunk
+// runs the filter and probe kernels and goes to sink.
+//
+// Hash tables are prebuilt on the primary core, in probe order, when the
+// sweep fans out or chunks; the returned map holds their cycles by
+// dimension. A serial one-chunk sweep builds each table inline instead,
+// inside its join's charges — the pipelined build-probe-build-probe
+// sequence, whose float charge order differs — and returns a nil map.
+// Forked cores fold back into the primary core: elapsed advances by the
+// critical core (raw cycles, so sub-cycle differences cannot flip the
+// choice), memory traffic by the sum.
+func (x *CPUExec) sweepFact(ctx context.Context, q *plan.Query, db *storage.Database, joins []dimJoin,
+	k, step int, span *telemetry.Span, sink func(s *cpuSweep, lane int, c *cpuChunk) error) (*laneSweep, map[string]int64, error) {
+
 	cpu := x.cpu
-	tables := make([]joinTable, len(joins))
-	for ji, j := range joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	rows := db.MustTable(q.Fact).Rows()
+	span.SetInt("rows", int64(rows))
+	span.SetInt("cores", int64(k))
+
+	var tables []joinTable
+	var builds map[string]int64
+	if k > 1 || step > 0 {
+		tables = make([]joinTable, len(joins))
+		builds = make(map[string]int64, len(joins))
+		for ji, j := range joins {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			spb := span.Child("build:" + j.edge.Dim)
+			buildStart := cpu.Cycles()
+			if len(j.edge.NeedAttrs) == 0 {
+				tables[ji].semi = cpu.BuildHashSemi(j.keys)
+			} else {
+				tables[ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
+				for ai := range j.edge.NeedAttrs {
+					tables[ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
+				}
+			}
+			builds[j.edge.Dim] = cpu.Cycles() - buildStart
+			spb.SetInt("cycles", builds[j.edge.Dim])
+			spb.SetInt("build_keys", int64(len(j.keys)))
+			spb.End()
 		}
-		spb := x.parent.Child("build:" + j.edge.Dim)
-		buildStart := cpu.Cycles()
-		if len(j.edge.NeedAttrs) == 0 {
-			tables[ji].semi = cpu.BuildHashSemi(j.keys)
-		} else {
-			tables[ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
-			for ai := range j.edge.NeedAttrs {
-				tables[ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
+	}
+
+	cores := []*baseline.CPU{cpu}
+	if k > 1 {
+		cores = cpu.Fork(k)
+	}
+	sweeps := make([]*cpuSweep, k)
+	books := make([]*laneBooks, k)
+	for i, core := range cores {
+		sweeps[i] = &cpuSweep{cpu: core, laneBooks: newLaneBooks(q), span: span}
+		books[i] = &sweeps[i].laneBooks
+		if k > 1 {
+			if x.tel != nil {
+				// Per-core hooks stream live, so telemetry counters
+				// accumulate work cycles (the sum over cores), not elapsed.
+				// Each core needs its own bridge closure — the bridge keeps
+				// local state.
+				AttachCPUTelemetry(core, x.tel)
+			}
+			sweeps[i].span = span.Child(fmt.Sprintf("core%d", i))
+		}
+	}
+
+	laneRows := make([]int64, k)
+	err := runLanes(k, func(lane int) error {
+		s := sweeps[lane]
+		if k > 1 {
+			defer s.span.End()
+		}
+		base, end := lane*rows/k, (lane+1)*rows/k
+		laneRows[lane] = int64(end - base)
+		chunk := func(lo, hi int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			c0 := s.cpu.Cycles()
+			sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, tables, lo, hi)
+			if err != nil {
+				return err
+			}
+			return sink(s, lane, &cpuChunk{lo: lo, hi: hi, sel: sel, attrCols: attrCols, compute: s.cpu.Cycles() - c0})
+		}
+		var err error
+		if step <= 0 {
+			err = chunk(base, end)
+		}
+		for lo := base; step > 0 && lo < end && err == nil; lo += step {
+			err = chunk(lo, min(lo+step, end))
+		}
+		if k > 1 {
+			s.span.SetInt("cycles", s.cpu.Cycles())
+			s.span.SetInt("rows", laneRows[lane])
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var laneCycles []int64
+	if k > 1 {
+		laneCycles = make([]int64, k)
+		var maxRaw float64
+		for i, core := range cores {
+			laneCycles[i] = core.Cycles()
+			if raw := core.RawCycles(); raw > maxRaw {
+				maxRaw = raw
 			}
 		}
-		cy := cpu.Cycles() - buildStart
-		run.buildCycles[j.edge.Dim] = cy
-		run.perJoin[j.edge.Dim] += cy
-		spb.SetInt("cycles", cy)
-		spb.SetInt("build_keys", int64(len(j.keys)))
-		spb.End()
+		cpu.AbsorbElapsed(maxRaw)
+		for _, core := range cores {
+			cpu.AbsorbTraffic(core)
+		}
 	}
-	return tables, nil
-}
-
-// streamStep returns the configured streaming chunk size in fact rows.
-func (x *CPUExec) streamStep() int {
-	if n := int(x.batchRows.Load()); n > 0 {
-		return n
-	}
-	return defaultStreamBatchRows
+	return sumLanes(books, laneRows, laneCycles), builds, nil
 }
 
 // streamAttrCount counts the dimension-attribute columns a sweep
@@ -457,67 +361,4 @@ func streamAttrCount(joins []dimJoin) int {
 // bitmap.
 func streamResidentBytes(rows, attrCount int) int64 {
 	return int64(4*rows*attrCount) + int64(rows+7)/8
-}
-
-// finishBreakdown closes the per-operator books for the last Run; the rows
-// partition TotalCycles exactly, with an explicit "overhead" remainder.
-// Parallel runs replace the serial filter/join/aggregate rows with build
-// rows, per-core sweep work, a negative "parallel-overlap" credit (cores
-// run concurrently, so only the critical core's cycles are elapsed time)
-// and a "merge" row.
-func (x *CPUExec) finishBreakdown(run *cpuRunBooks, q *plan.Query, factRows, groups int64) {
-	b := &telemetry.Breakdown{Device: "CPU", TotalCycles: run.elapsed}
-	var covered int64
-	for _, e := range q.Joins {
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "prep:" + e.Dim, Device: "CPU", Cycles: run.prepCycles[e.Dim], Rows: run.prepRows[e.Dim],
-		})
-		covered += run.prepCycles[e.Dim]
-	}
-	if run.coreCycles == nil {
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "filter", Device: "CPU", Cycles: run.filterCycles, Rows: factRows,
-		})
-		covered += run.filterCycles
-		for _, e := range q.Joins {
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: "join:" + e.Dim, Device: "CPU", Cycles: run.perJoin[e.Dim], Rows: -1,
-			})
-			covered += run.perJoin[e.Dim]
-		}
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "aggregate", Device: "CPU", Cycles: run.aggCycles, Rows: groups,
-		})
-		covered += run.aggCycles
-	} else {
-		for _, e := range q.Joins {
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: "build:" + e.Dim, Device: "CPU", Cycles: run.buildCycles[e.Dim], Rows: run.prepRows[e.Dim],
-			})
-			covered += run.buildCycles[e.Dim]
-		}
-		for t, cy := range run.coreCycles {
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: fmt.Sprintf("sweep[%d]", t), Device: "CPU", Cycles: cy, Rows: run.coreRows[t],
-			})
-			covered += cy
-		}
-		// The cores overlapped: only the critical core is elapsed time, so
-		// credit the hidden work back with an explicit negative row.
-		hidden := overlapHidden(run.coreCycles)
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "parallel-overlap", Device: "CPU", Cycles: -hidden, Rows: -1,
-		})
-		covered -= hidden
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "merge", Device: "CPU", Cycles: run.mergeCycles, Rows: groups,
-		})
-		covered += run.mergeCycles
-	}
-	if oh := run.elapsed - covered; oh != 0 {
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "overhead", Device: "CPU", Cycles: oh, Rows: -1,
-		})
-	}
-	run.breakdown = b
 }

@@ -2,9 +2,10 @@ package exec
 
 // cpu_sweep.go drives the CPU fact stage over one row range: SIMD selection
 // scans, then the pipelined probe pass. cpuSweep is the per-core kernel
-// context; the serial path runs one over the executor's own core, the
-// parallel path one per forked core, and exec.Placed reuses the filter/probe
-// half when the aggregation tail is placed on CAPE.
+// context; CPUExec.sweepFact runs one over the executor's own core when
+// serial and one per forked core when parallel, and exec.Placed hands the
+// filter/probe half's output to its own sinks when the aggregation tail is
+// placed on CAPE.
 
 import (
 	"context"
@@ -16,15 +17,12 @@ import (
 	"castle/internal/telemetry"
 )
 
-// cpuSweep is one core's share of the fact sweep and its accounting: the
-// serial path runs a single sweep over the executor's own core; the
-// parallel path runs one per forked core, each on its own goroutine. A
-// sweep only reads shared state (storage, prepared dimensions, prebuilt
-// hash tables) and writes its own fields, which is what makes the fan-out
-// race-free.
+// cpuSweep is one core's share of the fact sweep and its accounting, each
+// lane on its own goroutine. A sweep only reads shared state (storage,
+// prepared dimensions, prebuilt hash tables) and writes its own fields,
+// which is what makes the fan-out race-free.
 type cpuSweep struct {
 	cpu *baseline.CPU
-	acc *groupAcc
 
 	// resident marks a sweep whose fact columns were already streamed by a
 	// shared fused scan (shared_cpu.go): kernels charge their compute and
@@ -32,11 +30,9 @@ type cpuSweep struct {
 	// are unchanged.
 	resident bool
 
-	perJoin      map[string]int64
-	filterCycles int64
-	aggCycles    int64
+	laneBooks
 
-	// span hosts the per-operator child spans: the run's parent span when
+	// span hosts the per-operator child spans: the "fact-sweep" span when
 	// serial, this core's "coreN" span when parallel.
 	span *telemetry.Span
 }

@@ -153,11 +153,7 @@ func ExecuteShared(ctx context.Context, dev Device, plans []*plan.Physical, db *
 	if dev == DeviceCPU {
 		cpu := baseline.New(baseline.DefaultConfig())
 		AttachCPUTelemetry(cpu, tel)
-		queries := make([]*plan.Query, len(plans))
-		for i, p := range plans {
-			queries[i] = p.Query
-		}
-		members, st, err = RunSharedCPU(ctx, cpu, queries, db, 0)
+		members, st, err = RunSharedCPU(ctx, cpu, plans, db)
 		return &SharedOutcome{members, st, cpu.Mem().BytesMoved(), cpu.Config().ClockHz}, err
 	}
 	eng := cape.New(cfg)

@@ -447,6 +447,41 @@ func TestBulkGroupLoopMatchesLiteralLoop(t *testing.T) {
 			t.Fatalf("class %d cycles differ: %d vs %d", c, fs.CSBCyclesByClass[c], ls.CSBCyclesByClass[c])
 		}
 	}
+
+	// The CAPE tail of a split run aggregates shipped survivors with the
+	// same kernels, so a CPU fact stage feeding a CAPE tail takes the fast
+	// path too, materializing and streaming alike.
+	pp := plan.Compile(p, plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCAPE, nil)
+	for _, streaming := range []bool{false, true} {
+		run := func(opts CastleOptions) (*Result, *cape.Engine, *Placed) {
+			eng := cape.New(cfg)
+			x := NewPlaced(NewCastle(eng, cat, opts), NewCPUExec(baseline.New(baseline.DefaultConfig())), cat)
+			x.SetStreaming(streaming)
+			res, err := x.Run(pp, database)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, eng, x
+		}
+		fast, engFast, xFast := run(CastleOptions{Fusion: true})
+		lit, engLit, xLit := run(CastleOptions{Fusion: true, NoBulkAggFastPath: true})
+		if !fast.Equal(lit) || len(fast.Rows) < 2 {
+			t.Fatalf("streaming=%v: tail fast path changed results (%d vs %d rows)", streaming, len(fast.Rows), len(lit.Rows))
+		}
+		fc, fu := xFast.DeviceCycles()
+		lc, lu := xLit.DeviceCycles()
+		if fc != lc || fu != lu || fc != engFast.Stats().TotalCycles() {
+			t.Fatalf("streaming=%v: tail fast path billed CAPE %d CPU %d, literal loop CAPE %d CPU %d",
+				streaming, fc, fu, lc, lu)
+		}
+		fs, ls := engFast.Stats(), engLit.Stats()
+		for c := range fs.CSBCyclesByClass {
+			if fs.CSBCyclesByClass[c] != ls.CSBCyclesByClass[c] {
+				t.Fatalf("streaming=%v: tail class %d cycles differ: %d vs %d",
+					streaming, c, fs.CSBCyclesByClass[c], ls.CSBCyclesByClass[c])
+			}
+		}
+	}
 }
 
 // TestOrderByAcrossEngines verifies ORDER BY (including DESC on an
@@ -585,10 +620,11 @@ func TestCastleWithNilCatalogAndCustomMKSThreshold(t *testing.T) {
 	p := optimize(t, bound, cat, cfg.MAXVL)
 	want := Reference(bound, database)
 
-	// nil catalog forces embedded ABA discovery; low MKS threshold forces
-	// vmks on small batches.
+	// nil catalog forces embedded ABA discovery; an 8-byte cacheline lowers
+	// the MKS threshold to two keys, forcing vmks on small batches.
+	cfg.Mem.LineBytes = 8
 	eng := cape.New(cfg)
-	got := NewCastle(eng, nil, CastleOptions{Fusion: true, MKSMinKeys: 2}).Run(p, database)
+	got := NewCastle(eng, nil, CastleOptions{Fusion: true}).Run(p, database)
 	if !want.Equal(got) {
 		t.Fatal("nil-catalog execution changed results")
 	}

@@ -2,11 +2,13 @@ package exec
 
 // placed.go executes plans whose operator pipeline spans both devices — the
 // paper's §7.2 hybrid case with per-operator granularity. The fused fact
-// stage (Scan+Filter+JoinProbe) runs on one device using the same kernels
-// the single-device executors run (tileSweep / cpuSweep), each DimBuild runs
-// on its placed device (paying an explicit transfer when it feeds the other
-// side), and the aggregation tail runs on its placed device over the
-// survivor tuples the fact stage ships across.
+// stage (Scan+Filter+JoinProbe) runs through its device's only fact sweep
+// (Castle.sweepFact or CPUExec.sweepFact) with a sink that ships each
+// partition's survivor tuples across instead of aggregating them; each
+// DimBuild runs on its placed device (paying an explicit transfer when it
+// feeds the other side); and the aggregation tail runs on its placed device
+// over the shipped tuples — the CPU's hash aggregation, or CAPE's own
+// Algorithm 2 kernels.
 //
 // Results are bit-identical to the single-device engines: the fact stage
 // computes the same survivor set either way, survivors are consumed in
@@ -15,7 +17,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,31 +42,20 @@ type Placed struct {
 	// runs, atomically retargetable while a run is in flight.
 	par atomic.Int32
 
-	// streaming selects the pull-based batch pipeline for mixed runs: the
-	// fact stage produces MAXVL-sized batches through a BatchSource, the
-	// tail consumes each batch immediately (peak memory O(K·MAXVL) instead
-	// of O(table)), and the device crossing is double-buffered so interior
-	// transfers hide under the next batch's compute. Results are
-	// bit-identical to materializing.
+	// streaming selects the batch pipeline for mixed runs: the fact stage
+	// hands over MAXVL-sized batches, the tail consumes each batch
+	// immediately (peak memory O(K·MAXVL) instead of O(table)), and the
+	// device crossing is double-buffered so interior transfers hide under
+	// the next batch's compute. Results are bit-identical to materializing.
 	streaming atomic.Bool
 
 	tel    *telemetry.Telemetry
 	parent *telemetry.Span
 
-	last atomic.Pointer[placedBooks]
-}
-
-// placedBooks is the closed accounting of one placed run.
-type placedBooks struct {
-	capeCycles int64
-	cpuCycles  int64
-	stream     StreamStats
-	// parallel is the fact stage's fan-out profile; split runs report their
-	// lanes' work the way the single-device executors do.
-	parallel ParallelStats
-	// tail is the device the aggregation tail ran on.
-	tail      plan.Device
-	breakdown *telemetry.Breakdown
+	// lastRun publishes split runs' books, and republishes the owning
+	// executor's for uniform placements. Split runs report their lanes'
+	// work the way the single-device executors do.
+	lastRun
 }
 
 // NewPlaced couples the two single-device executors into a placed-pipeline
@@ -83,20 +73,10 @@ func NewPlaced(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Placed {
 // RunContext; an in-flight run keeps the degree it observed at entry.
 func (x *Placed) SetParallelism(k int) { x.par.Store(int32(k)) }
 
-// SetStreaming toggles the pull-based batch pipeline for subsequent runs.
+// SetStreaming toggles the batch pipeline for subsequent runs.
 // Safe to call concurrently with RunContext; an in-flight run keeps the
 // mode it observed at entry.
 func (x *Placed) SetStreaming(on bool) { x.streaming.Store(on) }
-
-// StreamStats returns the last run's streaming summary: batches produced,
-// transfer cycles hidden under compute, and peak resident batch bytes. All
-// zero for materializing runs and before the first run.
-func (x *Placed) StreamStats() StreamStats {
-	if b := x.last.Load(); b != nil {
-		return b.stream
-	}
-	return StreamStats{}
-}
 
 // SetTelemetry attaches a telemetry sink and parent span for subsequent
 // runs (either may be nil). Not safe to call while a run is in flight.
@@ -105,17 +85,6 @@ func (x *Placed) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) 
 	x.parent = parent
 	x.castle.SetTelemetry(tel, parent)
 	x.cpu.SetTelemetry(tel, parent)
-}
-
-// Breakdown returns the last run's per-operator cycle breakdown. For mixed
-// runs every row carries the device it ran on, device crossings appear as
-// explicit "xfer:" rows, and the rows partition the combined two-device
-// total exactly. Returns a copy; nil before the first run.
-func (x *Placed) Breakdown() *telemetry.Breakdown {
-	if b := x.last.Load(); b != nil {
-		return b.breakdown.Clone()
-	}
-	return nil
 }
 
 // DeviceCycles returns the last run's per-device cycle split (CAPE, CPU);
@@ -171,15 +140,15 @@ func (x *Placed) run(ctx context.Context, pp *plan.PlacedPlan, db *storage.Datab
 	q := pp.Phys.Query
 	// A static split run aggregates on the device opposite its fact stage,
 	// even when only a dimension build crossed and the plan kept the tail
-	// on the fact device — except a grouped SUM(a*b), which CAPE's tail
-	// cannot run. The checkpoint starts from the planned tail.
+	// on the fact device — except a grouped SUM(a*b), which Validate keeps
+	// off CAPE's tail. The checkpoint starts from the planned tail.
 	tail := plan.DeviceCAPE
 	if pp.FactDevice() == plan.DeviceCAPE || q.GroupedSumMul() {
 		tail = plan.DeviceCPU
 	}
 	eng, cpu := x.castle.eng, x.cpu.cpu
 	capeStart, cpuStart := eng.TotalCycles(), cpu.Cycles()
-	bk := newPlacedBreakdown()
+	bk := newBooks()
 	// Only a crossing streams: a streaming CPU fact stage folds its batches
 	// straight into the CAPE tail.
 	streaming := adapt == nil && x.streaming.Load() && tail != pp.FactDevice()
@@ -204,100 +173,47 @@ func (x *Placed) run(ctx context.Context, pp *plan.PlacedPlan, db *storage.Datab
 		return nil, ast, err
 	}
 	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, fs, tail)
+	countRowsScanned(x.tel, db, q, pp.FactDevice(), pp.DimDevice)
 	return acc.result(q), ast, nil
 }
 
 // runUniform delegates a single-device placement to the owning executor and
 // republishes its books.
 func (x *Placed) runUniform(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database, dev plan.Device) (*Result, error) {
-	capeStart := x.castle.eng.TotalCycles()
-	cpuStart := x.cpu.cpu.Cycles()
 	var res *Result
 	var err error
+	var last *lastRun
 	if dev == plan.DeviceCPU {
 		x.cpu.SetParallelism(int(x.par.Load()))
 		x.cpu.SetStreaming(x.streaming.Load())
 		res, err = x.cpu.RunContext(ctx, pp.Phys.Query, db)
+		last = &x.cpu.lastRun
 	} else {
 		x.castle.SetParallelism(int(x.par.Load()))
 		x.castle.SetStreaming(x.streaming.Load())
 		res, err = x.castle.RunContext(ctx, pp.Phys, db)
+		last = &x.castle.lastRun
 	}
 	if err != nil {
 		return nil, err
 	}
-	books := &placedBooks{
-		capeCycles: x.castle.eng.TotalCycles() - capeStart,
-		cpuCycles:  x.cpu.cpu.Cycles() - cpuStart,
-		tail:       dev,
-	}
-	if dev == plan.DeviceCPU {
-		books.breakdown = x.cpu.Breakdown()
-		books.stream = x.cpu.StreamStats()
-		books.parallel = x.cpu.ParallelStats()
-	} else {
-		books.breakdown = x.castle.Breakdown()
-		books.stream = x.castle.StreamStats()
-		books.parallel = x.castle.ParallelStats()
-	}
-	x.last.Store(books)
+	x.last.Store(last.last.Load())
 	return res, nil
 }
 
-// placedBreakdown accumulates the operator rows of a mixed run.
-type placedBreakdown struct {
-	ops     []telemetry.OperatorStats
-	perJoin map[string]int64
-}
-
-func newPlacedBreakdown() *placedBreakdown {
-	return &placedBreakdown{perJoin: make(map[string]int64)}
-}
-
-func (b *placedBreakdown) row(op, dev string, cycles, rows int64) {
-	b.ops = append(b.ops, telemetry.OperatorStats{Operator: op, Device: dev, Cycles: cycles, Rows: rows})
-}
-
-// lanes emits one "sweep[t]" row per fact-stage lane plus the negative
-// "parallel-overlap" credit for the work hidden under the critical lane,
-// and returns the fan-out profile (publish fills in the elapsed views).
-func (b *placedBreakdown) lanes(dev string, cycles, rows []int64) ParallelStats {
-	for t, cy := range cycles {
-		b.row(fmt.Sprintf("sweep[%d]", t), dev, cy, rows[t])
+// publish closes a split run's books. For streaming runs the total is the
+// elapsed view — both devices' work minus the transfer cycles that hid
+// under the next batch's compute — and the hidden portion appears as an
+// explicit negative "xfer-overlap" credit row so the rows still partition
+// TotalCycles exactly.
+func (x *Placed) publish(bk *books, capeCycles, cpuCycles int64, fs *factOutput, tail plan.Device) {
+	if fs.stream.OverlapCycles != 0 {
+		bk.row("xfer-overlap", "CAPE+CPU", -fs.stream.OverlapCycles, -1)
 	}
-	b.row("parallel-overlap", dev, -overlapHidden(cycles), -1)
-	return ParallelStats{Tiles: len(cycles), TileCycles: cycles, TileRows: rows}
-}
-
-// publish closes a split run's books: the operator rows plus an explicit
-// "overhead" remainder partition the total exactly. For streaming runs the
-// total is the elapsed view — both devices' work minus the transfer cycles
-// that hid under the next batch's compute — and the hidden portion appears
-// as an explicit negative "xfer-overlap" credit row so the rows still
-// partition TotalCycles exactly.
-func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, fs *factOutput, tail plan.Device) {
-	stream := fs.stream
-	if stream.OverlapCycles != 0 {
-		bk.row("xfer-overlap", "CAPE+CPU", -stream.OverlapCycles, -1)
-	}
-	total := capeCycles + cpuCycles - stream.OverlapCycles
-	var covered int64
-	for _, o := range bk.ops {
-		covered += o.Cycles
-	}
-	bk.ops = append(bk.ops, telemetry.OperatorStats{
-		Operator: "overhead", Device: "CAPE+CPU", Cycles: total - covered, Rows: -1})
-	ps := fs.parallel
-	ps.ElapsedCycles = total
-	ps.WorkCycles = total + overlapHidden(ps.TileCycles)
-	x.last.Store(&placedBooks{
-		capeCycles: capeCycles,
-		cpuCycles:  cpuCycles,
-		stream:     stream,
-		parallel:   ps,
-		tail:       tail,
-		breakdown:  &telemetry.Breakdown{Device: "CAPE+CPU", Operators: bk.ops, TotalCycles: total},
-	})
+	total := capeCycles + cpuCycles - fs.stream.OverlapCycles
+	breakdown := bk.close("CAPE+CPU", total)
+	x.last.Store(&closedRun{capeCycles: capeCycles, cpuCycles: cpuCycles, perJoin: fs.perJoin,
+		stream: fs.stream, parallel: bk.parallel, tail: tail, breakdown: breakdown})
 }
 
 // shipTailCols lists the dimension attributes ("dim.attr") a device
@@ -326,8 +242,8 @@ type factOutput struct {
 	acc       *groupAcc
 	aggCycles int64
 
-	stream   StreamStats
-	parallel ParallelStats
+	stream  StreamStats
+	perJoin map[string]int64
 }
 
 // runTail runs the aggregation tail on dev over the fact stage's output and
@@ -335,9 +251,9 @@ type factOutput struct {
 // merges the streamed lane accumulators in fixed lane order) and pays the
 // bulk hash-aggregation charge once, so streamed and materialized CPU
 // cycles match exactly; a CAPE tail loads each lane's shipment into the CSB
-// in MAXVL chunks and runs Algorithm 2 over each chunk.
+// in MAXVL chunks and aggregates each chunk with the fused sweep's kernels.
 func (x *Placed) runTail(ctx context.Context, q *plan.Query, fact *storage.Table, dev plan.Device,
-	fs *factOutput, bk *placedBreakdown) (*groupAcc, error) {
+	fs *factOutput, bk *books) (*groupAcc, error) {
 
 	spa := x.parent.Child("aggregate")
 	defer spa.End()
@@ -365,8 +281,16 @@ func (x *Placed) runTail(ctx context.Context, q *plan.Query, fact *storage.Table
 		eng := x.castle.eng
 		a0 := eng.TotalCycles()
 		acc = newGroupAcc(q.Aggs)
-		if err := x.capeAggregateShipments(ctx, q, fact, fs.ships, acc); err != nil {
-			return nil, err
+		ts := x.castle.tailSweep(acc)
+		setAggLayout(eng, q)
+		maxvl := eng.Config().MAXVL
+		for _, ship := range fs.ships {
+			for lo := 0; lo < ship.Len(); lo += maxvl {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				ts.aggregateShipped(q, fact, ship, lo, min(lo+maxvl, ship.Len()))
+			}
 		}
 		cycles = eng.TotalCycles() - a0
 	default:
@@ -387,22 +311,19 @@ func (x *Placed) runTail(ctx context.Context, q *plan.Query, fact *storage.Table
 // ---------------------------------------------------------------------------
 
 // runCAPEFact runs the dimension builds and the fused Scan+Filter+JoinProbe
-// stage with CAPE as the fact device. Every lane — the primary engine when
-// K is 1, one forked tile each otherwise — pulls its MAXVL partitions
-// through one capeFactSource loop: streaming lanes fold each batch into
-// their CPU-tail consumer as it lands, materializing lanes append it to one
-// shipment per lane. With fusion disabled each lane then pays the fission
-// overhead for the partitions it swept, as Castle's sweep does.
+// stage with CAPE as the fact device, through Castle's fact sweep. Each
+// partition's survivors are exported as a batch: streaming lanes fold it
+// into their CPU-tail consumer as it lands, materializing lanes append it
+// to one shipment per lane.
 func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown, streaming bool) (*factOutput, error) {
+	bk *books, streaming bool) (*factOutput, error) {
 
 	p := pp.Phys
 	q := p.Query
 	eng := x.castle.eng
 	cpu := x.cpu.cpu
 	cfg := eng.Config()
-	camCapable := cfg.EnableADL
-	if camCapable {
+	if cfg.EnableADL {
 		eng.SetLayout(cape.CAMMode)
 	}
 
@@ -442,38 +363,14 @@ func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *stora
 		sp.End()
 	}
 
-	// --- Fact stage on CAPE: Scan+Filter+JoinProbe per partition, gathering
+	// --- Fact stage on CAPE: Scan+Filter+JoinProbe per partition, exporting
 	// survivor tuples instead of aggregating.
 	fact := db.MustTable(q.Fact)
 	factRows := fact.Rows()
-	maxvl := cfg.MAXVL
-	parts := (factRows + maxvl - 1) / maxvl
-	k := fanOut(int(x.par.Load()), parts)
+	k := fanOut(int(x.par.Load()), (factRows+cfg.MAXVL-1)/cfg.MAXVL)
 	attrKeys, shipCols := shipTailCols(q)
 	fs := &factOutput{shipCols: shipCols}
-	sweep := x.parent.Child("fact-sweep")
-	sweepStart := eng.TotalCycles()
-
-	srcs := make([]*capeFactSource, k)
-	newSource := func(lane int, s *tileSweep) *capeFactSource {
-		return &capeFactSource{s: s, p: p, db: db, dims: dims,
-			attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
-			factRows: factRows, maxvl: maxvl, next: lane, stride: k, ch: &xferChannel{}}
-	}
-	var group *cape.TileGroup
-	if k == 1 {
-		srcs[0] = newSource(0, &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep})
-	} else {
-		group = eng.Fork(k)
-		for i, t := range group.Tiles() {
-			if x.tel != nil {
-				AttachEngineTelemetry(t, x.tel)
-			}
-			srcs[i] = newSource(i, &tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
-				perJoin: make(map[string]int64, len(p.Joins)),
-				span:    sweep.Child(fmt.Sprintf("tile%d", i))})
-		}
-	}
+	chans, shipped := newXferChannels(k), make([]int64, k)
 	if streaming {
 		fs.consumers = make([]*cpuAggConsumer, k)
 		for i := range fs.consumers {
@@ -485,131 +382,41 @@ func (x *Placed) runCAPEFact(ctx context.Context, pp *plan.PlacedPlan, db *stora
 			fs.ships[i] = NewBatch(0, attrKeys)
 		}
 	}
-	err := runLanes(k, func(lane int) error {
-		src := srcs[lane]
-		if k > 1 {
-			defer src.s.span.End()
+	sweep := x.parent.Child("fact-sweep")
+	sweepStart := eng.TotalCycles()
+	sw, err := x.castle.sweepFact(ctx, p, db, dims, k, sweep, func(s *tileSweep, lane int, pt *capePart) error {
+		b := NewBatch(pt.base, attrKeys)
+		e0 := s.eng.TotalCycles()
+		exportSurvivors(s.eng, b, pt.rowMask, pt.base, attrKeys, pt.attrRegs, shipCols)
+		chans[lane].record(pt.compute, s.eng.TotalCycles()-e0, b.ShipBytes(shipCols))
+		shipped[lane] += int64(b.Len())
+		if streaming {
+			return fs.consumers[lane].consume(ctx, b)
 		}
-		for {
-			b, err := src.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			if !streaming {
-				fs.ships[lane].append(b)
-			} else if err := fs.consumers[lane].consume(ctx, b); err != nil {
-				return err
-			}
-		}
-		if !x.castle.opts.Fusion {
-			src.s.chargeFissionOverhead(p, (parts-lane+k-1)/k, maxvl)
-		}
+		fs.ships[lane].append(b)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	if k == 1 {
-		src := srcs[0]
-		bk.row("filter", "CAPE", src.s.filterCycles, int64(factRows))
+	fs.perJoin = sw.perJoin
+	if sw.cycles == nil {
+		bk.row("filter", "CAPE", sw.filterCycles, int64(factRows))
 		for _, e := range p.Joins {
-			bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
+			bk.row("join:"+e.Dim, "CAPE", sw.perJoin[e.Dim], -1)
 		}
-		bk.row("xfer:aggregate", "CAPE+CPU", src.ch.xferCycles, src.rowsOut)
-		fs.parallel = ParallelStats{Tiles: 1}
-		if streaming {
-			fs.stream = StreamStats{Batches: src.ch.batches, OverlapCycles: src.ch.credit, PeakBatchBytes: src.ch.peakBytes}
-		}
+		bk.row("xfer:aggregate", "CAPE+CPU", chans[0].xferCycles, shipped[0])
 	} else {
-		// Elapsed advances by the critical tile; per-tile work (including
-		// each tile's export charges) shows as sweep rows with the hidden
-		// overlap credited back, as in the single-device executors.
-		tileCycles := group.Merge()
-		rows := make([]int64, k)
-		credits := make([]int64, k)
-		for i, src := range srcs {
-			rows[i] = src.rowsIn
-			credits[i] = src.ch.credit
-			for d, cy := range src.s.perJoin {
-				bk.perJoin[d] += cy
-			}
-		}
-		fs.parallel = bk.lanes("CAPE", tileCycles, rows)
-		if streaming {
-			// The run-level credit is bounded by the critical lane: the tiles
-			// already overlap each other, so only the transfer cycles that
-			// shorten the critical path count.
-			for _, src := range srcs {
-				fs.stream.Batches += src.ch.batches
-				fs.stream.PeakBatchBytes += src.ch.peakBytes
-			}
-			fs.stream.OverlapCycles = overlapElapsedCredit(tileCycles, credits)
-		}
+		// Per-tile work, including each tile's export charges, shows as
+		// sweep rows with the hidden overlap credited back.
+		bk.lanes("CAPE", sw.cycles, sw.rows)
+	}
+	if streaming {
+		fs.stream = streamStats(chans, sw.cycles)
 	}
 	sweep.SetInt("cycles", eng.TotalCycles()-sweepStart)
-	sweep.SetInt("tiles", int64(k))
 	sweep.End()
 	return fs, nil
-}
-
-// capeFactSource is the CAPE-side batch producer for one fact-stage lane:
-// each Next runs the fused Scan+Filter+JoinProbe kernels over the lane's
-// next MAXVL partition, exports the survivors as a batch, and records the
-// (compute, transfer) split into the lane's double-buffered channel.
-type capeFactSource struct {
-	s          *tileSweep
-	p          *plan.Physical
-	db         *storage.Database
-	dims       []dimSide
-	attrKeys   []string
-	shipCols   int
-	camCapable bool
-
-	factRows int
-	maxvl    int
-	next     int // partition index of the next batch
-	stride   int // partition stride between this lane's batches
-
-	ch      *xferChannel
-	rowsIn  int64 // fact rows swept
-	rowsOut int64 // survivors exported
-}
-
-func (src *capeFactSource) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	base := src.next * src.maxvl
-	if src.maxvl <= 0 || base >= src.factRows {
-		return nil, nil
-	}
-	vl := src.factRows - base
-	if vl > src.maxvl {
-		vl = src.maxvl
-	}
-	s := src.s
-	c0 := s.eng.TotalCycles()
-	rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, src.p, src.db, src.dims, base, vl)
-	if err != nil {
-		return nil, err
-	}
-	compute := s.eng.TotalCycles() - c0
-	b := NewBatch(base, src.attrKeys)
-	e0 := s.eng.TotalCycles()
-	exportSurvivors(s.eng, b, rowMask, base, src.attrKeys, attrRegs, src.shipCols)
-	xfer := s.eng.TotalCycles() - e0
-	if src.camCapable {
-		s.eng.SetLayout(cape.CAMMode)
-	}
-	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
-	src.rowsIn += int64(vl)
-	src.rowsOut += int64(b.Len())
-	src.next += src.stride
-	return b, nil
 }
 
 // exportSurvivors gathers one partition's surviving rows into the lane's
@@ -763,13 +570,13 @@ func (cc *cpuAggConsumer) charge(cpu *baseline.CPU, shipCols int, acc *groupAcc,
 // columns).
 // ---------------------------------------------------------------------------
 
-// runCPUFact runs the dimension builds and the filter+probe fact stage with
-// the CPU as the fact device. Materializing lanes gather their survivors
-// into one shipment each; streaming lanes feed every chunk straight into
-// the CAPE aggregation tail, whose layout and hash tables are set up once
-// before the first chunk.
+// runCPUFact runs the dimension builds and the filter+probe fact stage
+// with the CPU as the fact device, through CPUExec's fact sweep.
+// Materializing lanes gather their survivors into one shipment each;
+// streaming lanes feed every MAXVL-row chunk straight into the CAPE
+// aggregation tail.
 func (x *Placed) runCPUFact(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown, streaming bool) (*factOutput, error) {
+	bk *books, streaming bool) (*factOutput, error) {
 
 	p := pp.Phys
 	q := p.Query
@@ -822,245 +629,82 @@ func (x *Placed) runCPUFact(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	rows := fact.Rows()
 	k := fanOut(int(x.par.Load()), rows)
 	attrKeys, shipCols := shipTailCols(q)
-	maxvl := eng.Config().MAXVL
-	fs := &factOutput{shipCols: shipCols, parallel: ParallelStats{Tiles: k}}
+	fs := &factOutput{shipCols: shipCols}
+	chans, shipped := newXferChannels(k), make([]int64, k)
 	sweep := x.parent.Child("fact-sweep")
 	sweepStart := cpu.Cycles()
-	if !streaming {
-		fs.ships = make([]*Batch, k)
-	}
 
 	// Streaming consumes each batch into the CAPE tail the moment it lands,
-	// so the aggregation layout must be pinned before the first batch (the
-	// CPU-side producer never touches the engine between chunks), and the
-	// hash tables build once up front — probing chunk by chunk would
-	// otherwise rebuild them per batch.
+	// so the aggregation layout is pinned before the first batch (the
+	// CPU-side producer never touches the engine between chunks). The
+	// tail's engine is shared: lanes serialize chunk consumption under a
+	// mutex into per-lane accumulators, merged in lane order below, so the
+	// engine's additive charges and the results stay deterministic.
+	step := 0
+	var tails []*tileSweep
+	var tailCycles []int64
+	var engMu sync.Mutex
 	if streaming {
-		fs.acc = newGroupAcc(q.Aggs)
+		step = eng.Config().MAXVL
 		a0 := eng.TotalCycles()
-		x.setAggLayout(q)
-		fs.aggCycles += eng.TotalCycles() - a0
-	}
-
-	if k == 1 {
-		s := &cpuSweep{cpu: cpu, perJoin: bk.perJoin, span: sweep}
-		if streaming {
-			tables, err := x.buildShipTables(ctx, cpu, joins, bk)
-			if err != nil {
-				return nil, err
-			}
-			ts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: fs.acc}
-			ch := &xferChannel{}
-			src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
-				attrKeys: attrKeys, shipCols: shipCols, base: 0, end: rows, step: maxvl, ch: ch}
-			var matched int64
-			for {
-				b, err := src.Next(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				if b.Len() > 0 {
-					a0 := eng.TotalCycles()
-					x.capeAggregateChunk(q, fact, b, 0, b.Len(), ts)
-					fs.aggCycles += eng.TotalCycles() - a0
-					matched += int64(b.Len())
-				}
-			}
-			fs.stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
-			bk.row("filter", "CPU", s.filterCycles, int64(rows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", ch.xferCycles, matched)
-		} else {
-			sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, nil, 0, rows)
-			if err != nil {
-				return nil, err
-			}
-			x0 := cpu.Cycles()
-			fs.ships[0] = gatherCPUSurvivors(cpu, sel, attrCols, attrKeys, 0, rows, shipCols)
-			bk.row("filter", "CPU", s.filterCycles, int64(rows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", cpu.Cycles()-x0, int64(len(fs.ships[0].Rows)))
+		setAggLayout(eng, q)
+		fs.aggCycles = eng.TotalCycles() - a0
+		tails, tailCycles = make([]*tileSweep, k), make([]int64, k)
+		for i := range tails {
+			tails[i] = x.castle.tailSweep(newGroupAcc(q.Aggs))
 		}
 	} else {
-		// Hash tables build once on the primary core, as in CPUExec.
-		tables, err := x.buildShipTables(ctx, cpu, joins, bk)
-		if err != nil {
-			return nil, err
-		}
-
-		cores := cpu.Fork(k)
-		sweeps := make([]*cpuSweep, k)
-		for i, core := range cores {
-			if x.tel != nil {
-				AttachCPUTelemetry(core, x.tel)
-			}
-			sweeps[i] = &cpuSweep{cpu: core,
-				perJoin: make(map[string]int64, len(joins)),
-				span:    sweep.Child(fmt.Sprintf("core%d", i))}
-		}
-		var chans []*xferChannel
-		var laneAccs []*groupAcc
-		var laneAgg []int64
-		var engMu sync.Mutex
-		if streaming {
-			chans = make([]*xferChannel, k)
-			laneAccs = make([]*groupAcc, k)
-			laneAgg = make([]int64, k)
-			for i := range chans {
-				chans[i] = &xferChannel{}
-				laneAccs[i] = newGroupAcc(q.Aggs)
-			}
-		}
-		laneRows := make([]int64, k)
-		err = runLanes(k, func(ti int) error {
-			s := sweeps[ti]
-			defer s.span.End()
-			base, end := ti*rows/k, (ti+1)*rows/k
-			laneRows[ti] = int64(end - base)
-			if !streaming {
-				sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, tables, base, end)
-				if err != nil {
-					return err
-				}
-				fs.ships[ti] = gatherCPUSurvivors(s.cpu, sel, attrCols, attrKeys, base, end, shipCols)
-				return nil
-			}
-			// The tail's engine is shared: lanes serialize chunk consumption
-			// under a mutex into per-lane accumulators (merged in lane order
-			// below), so the engine's additive charges and the results stay
-			// deterministic.
-			lts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: laneAccs[ti]}
-			src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
-				attrKeys: attrKeys, shipCols: shipCols, base: base, end: end, step: maxvl, ch: chans[ti]}
-			for {
-				b, err := src.Next(ctx)
-				if err != nil || b == nil {
-					return err
-				}
-				if b.Len() > 0 {
-					engMu.Lock()
-					a0 := eng.TotalCycles()
-					x.capeAggregateChunk(q, fact, b, 0, b.Len(), lts)
-					laneAgg[ti] += eng.TotalCycles() - a0
-					engMu.Unlock()
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		var maxRaw float64
-		laneCycles := make([]int64, k)
-		for i, s := range sweeps {
-			laneCycles[i] = s.cpu.Cycles()
-			if raw := s.cpu.RawCycles(); raw > maxRaw {
-				maxRaw = raw
-			}
-			for d, cyj := range s.perJoin {
-				bk.perJoin[d] += cyj
-			}
-		}
-		fs.parallel = bk.lanes("CPU", laneCycles, laneRows)
-		cpu.AbsorbElapsed(maxRaw)
-		for _, core := range cores {
-			cpu.AbsorbTraffic(core)
-		}
-		if streaming {
-			credits := make([]int64, k)
-			for i, ch := range chans {
-				credits[i] = ch.credit
-				fs.stream.Batches += ch.batches
-				fs.stream.PeakBatchBytes += ch.peakBytes
-			}
-			fs.stream.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
-			// Merge the per-lane accumulators in fixed lane order — the same
-			// consumption order the materializing tail uses.
-			for i, la := range laneAccs {
-				fs.acc.merge(la)
-				fs.aggCycles += laneAgg[i]
-			}
-		}
+		fs.ships = make([]*Batch, k)
 	}
-	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
-	sweep.SetInt("cores", int64(k))
-	sweep.End()
-	return fs, nil
-}
-
-// buildShipTables builds the probe-side hash tables once on the primary
-// core, emitting a "build:" row per dimension. Probe cycles accumulate
-// separately (per-lane perJoin), so build rows never double-count.
-func (x *Placed) buildShipTables(ctx context.Context, cpu *baseline.CPU, joins []dimJoin,
-	bk *placedBreakdown) ([]joinTable, error) {
-
-	tables := make([]joinTable, len(joins))
-	for ji, j := range joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	sw, builds, err := x.cpu.sweepFact(ctx, q, db, joins, k, step, sweep, func(s *cpuSweep, lane int, c *cpuChunk) error {
+		x0 := s.cpu.Cycles()
+		b := gatherCPUSurvivors(s.cpu, c.sel, c.attrCols, attrKeys, c.lo, c.hi, shipCols)
+		chans[lane].record(c.compute, s.cpu.Cycles()-x0, b.ShipBytes(shipCols))
+		shipped[lane] += int64(b.Len())
+		if !streaming {
+			fs.ships[lane] = b
+			return nil
 		}
-		b0 := cpu.Cycles()
-		if len(j.edge.NeedAttrs) == 0 {
-			tables[ji].semi = cpu.BuildHashSemi(j.keys)
-		} else {
-			tables[ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
-			for ai := range j.edge.NeedAttrs {
-				tables[ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
-			}
+		if b.Len() > 0 {
+			engMu.Lock()
+			a0 := eng.TotalCycles()
+			tails[lane].aggregateShipped(q, fact, b, 0, b.Len())
+			tailCycles[lane] += eng.TotalCycles() - a0
+			engMu.Unlock()
 		}
-		bk.row("build:"+j.edge.Dim, "CPU", cpu.Cycles()-b0, int64(len(j.keys)))
-	}
-	return tables, nil
-}
-
-// cpuFactSource is the CPU-side batch producer for one lane of a streaming
-// mixed run: each Next runs the filter+probe pass over the lane's next
-// MAXVL-row chunk, gathers the survivors as a batch, and records the
-// (compute, transfer) split into the lane's double-buffered channel.
-type cpuFactSource struct {
-	s        *cpuSweep
-	q        *plan.Query
-	db       *storage.Database
-	joins    []dimJoin
-	tables   []joinTable
-	attrKeys []string
-	shipCols int
-
-	base, end, step int
-
-	ch *xferChannel
-}
-
-func (src *cpuFactSource) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if src.step <= 0 || src.base >= src.end {
-		return nil, nil
-	}
-	lo, hi := src.base, src.base+src.step
-	if hi > src.end {
-		hi = src.end
-	}
-	core := src.s.cpu
-	c0 := core.Cycles()
-	sel, attrCols, err := src.s.runFilterJoins(ctx, src.q, src.db, src.joins, src.tables, lo, hi)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	compute := core.Cycles() - c0
-	x0 := core.Cycles()
-	b := gatherCPUSurvivors(core, sel, attrCols, src.attrKeys, lo, hi, src.shipCols)
-	xfer := core.Cycles() - x0
-	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
-	src.base = hi
-	return b, nil
+	fs.perJoin = sw.perJoin
+	if builds != nil {
+		// Probe cycles accumulate per lane, so build rows never
+		// double-count.
+		for _, j := range joins {
+			bk.row("build:"+j.edge.Dim, "CPU", builds[j.edge.Dim], int64(len(j.keys)))
+		}
+	}
+	if sw.cycles == nil {
+		bk.row("filter", "CPU", sw.filterCycles, int64(rows))
+		for _, e := range p.Joins {
+			bk.row("join:"+e.Dim, "CPU", sw.perJoin[e.Dim], -1)
+		}
+		bk.row("xfer:aggregate", "CAPE+CPU", chans[0].xferCycles, shipped[0])
+	} else {
+		bk.lanes("CPU", sw.cycles, sw.rows)
+	}
+	if streaming {
+		fs.stream = streamStats(chans, sw.cycles)
+		fs.acc = newGroupAcc(q.Aggs)
+		for i, t := range tails {
+			fs.acc.merge(t.acc)
+			fs.aggCycles += tailCycles[i]
+		}
+	}
+	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
+	sweep.End()
+	return fs, nil
 }
 
 // gatherCPUSurvivors collects a lane's surviving rows (and the tail's
@@ -1097,8 +741,7 @@ func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[stri
 // setAggLayout pins the CSB layout the CAPE aggregation tail needs: GP mode
 // when a vector-vector arithmetic aggregate must run, CAM mode otherwise.
 // PlacedPlan.Validate and run keep grouped vv arithmetic off this tail.
-func (x *Placed) setAggLayout(q *plan.Query) {
-	eng := x.castle.eng
+func setAggLayout(eng *cape.Engine, q *plan.Query) {
 	if !eng.Config().EnableADL {
 		return
 	}
@@ -1106,185 +749,5 @@ func (x *Placed) setAggLayout(q *plan.Query) {
 		eng.SetLayout(cape.GPMode)
 	} else {
 		eng.SetLayout(cape.CAMMode)
-	}
-}
-
-// capeAggregateShipments runs the CAPE aggregation kernels over shipped
-// survivor tuples: each lane's tuples are processed in fixed order, loaded
-// into the CSB in MAXVL chunks as gathered columns, and folded with the
-// exact instruction billing of the on-device Algorithm 2 loop.
-func (x *Placed) capeAggregateShipments(ctx context.Context, q *plan.Query, fact *storage.Table,
-	ships []*Batch, acc *groupAcc) error {
-
-	eng := x.castle.eng
-	maxvl := eng.Config().MAXVL
-
-	x.setAggLayout(q)
-	// The charged loop helpers live on tileSweep; borrow one bound to the
-	// primary engine.
-	ts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: acc}
-
-	for _, ship := range ships {
-		for lo := 0; lo < len(ship.Rows); lo += maxvl {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := lo + maxvl
-			if hi > len(ship.Rows) {
-				hi = len(ship.Rows)
-			}
-			x.capeAggregateChunk(q, fact, ship, lo, hi, ts)
-		}
-	}
-	return nil
-}
-
-// capeAggregateChunk loads one chunk of shipped tuples into the CSB and
-// aggregates it: gathered fact columns and shipped attributes become CSB
-// vectors (loads bill the stream reads), then the scalar reductions or the
-// literal per-group Algorithm 2 loop run with on-device billing.
-func (x *Placed) capeAggregateChunk(q *plan.Query, fact *storage.Table,
-	ship *Batch, lo, hi int, ts *tileSweep) {
-
-	eng := x.castle.eng
-	acc := ts.acc
-	n := hi - lo
-	eng.SetVL(n)
-	regs := newRegAlloc(eng.Config().NumVRegs)
-
-	gatherFact := func(name string) []uint32 {
-		col := fact.MustColumn(name).Data
-		out := make([]uint32, n)
-		for i, row := range ship.Rows[lo:hi] {
-			out[i] = col[row]
-		}
-		return out
-	}
-	loaded := make(map[string]cape.VReg)
-	loadGathered := func(key string, data []uint32, table, col string) cape.VReg {
-		if r, ok := loaded[key]; ok {
-			return r
-		}
-		r := regs.fresh()
-		eng.Load(r, data, colWidth(x.cat, table, col))
-		loaded[key] = r
-		return r
-	}
-	loadFact := func(name string) cape.VReg {
-		if r, ok := loaded[name]; ok {
-			return r
-		}
-		return loadGathered(name, gatherFact(name), q.Fact, name)
-	}
-
-	rowMask := eng.MaskInit(true)
-
-	// --- Scalar tail (no GROUP BY): predicated reductions per aggregate.
-	if len(q.GroupBy) == 0 {
-		rows := int64(eng.MPopc(rowMask))
-		if rows == 0 {
-			return
-		}
-		vals := make([]int64, len(q.Aggs))
-		for i, a := range q.Aggs {
-			switch a.Kind {
-			case plan.AggSumCol, plan.AggAvg:
-				vals[i] = eng.RedSum(loadFact(a.A), rowMask)
-			case plan.AggSumMul:
-				ra, rb := loadFact(a.A), loadFact(a.B)
-				tmp := regs.fresh()
-				eng.MulVV(tmp, ra, rb)
-				vals[i] = eng.RedSum(tmp, rowMask)
-			case plan.AggSumSub:
-				vals[i] = eng.RedSum(loadFact(a.A), rowMask) - eng.RedSum(loadFact(a.B), rowMask)
-				eng.Scalar(1)
-			case plan.AggCount:
-				vals[i] = rows
-			case plan.AggMin:
-				v, _ := eng.RedMin(loadFact(a.A), rowMask)
-				vals[i] = int64(v)
-			case plan.AggMax:
-				v, _ := eng.RedMax(loadFact(a.A), rowMask)
-				vals[i] = int64(v)
-			case plan.AggCountDistinct:
-				data := gatherFact(a.A)
-				r := loadGathered(a.A, data, q.Fact, a.A)
-				values := distinctUnder(data, 0, rowMask)
-				ts.chargeDistinctLoop(int64(len(values)), eng.RegWidth(r))
-				acc.addDistinct(nil, i, values)
-			}
-			eng.Scalar(4)
-		}
-		acc.add(nil, vals, rows)
-		return
-	}
-
-	// --- Grouped tail: the literal Algorithm 2 loop over the chunk.
-	groupRegs := make([]cape.VReg, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		if g.Table == q.Fact {
-			groupRegs[i] = loadFact(g.Column)
-			continue
-		}
-		key := g.Table + "." + g.Column
-		data := ship.Attrs[key][lo:hi]
-		groupRegs[i] = loadGathered(key, data, g.Table, g.Column)
-	}
-	aggRegs := make([][2]cape.VReg, len(q.Aggs))
-	distinctData := make([][]uint32, len(q.Aggs))
-	for i, a := range q.Aggs {
-		if a.Kind == plan.AggCountDistinct {
-			distinctData[i] = gatherFact(a.A)
-			aggRegs[i][0] = loadGathered(a.A, distinctData[i], q.Fact, a.A)
-			continue
-		}
-		if a.Kind != plan.AggCount {
-			aggRegs[i][0] = loadFact(a.A)
-		}
-		if a.Kind == plan.AggSumSub {
-			aggRegs[i][1] = loadFact(a.B)
-		}
-	}
-
-	remaining := rowMask
-	keys := make([]uint32, len(q.GroupBy))
-	aggs := make([]int64, len(q.Aggs))
-	for {
-		idx := eng.MFirst(remaining)
-		if idx == -1 {
-			break
-		}
-		groupMask := remaining
-		for i, r := range groupRegs {
-			keys[i] = eng.Extract(r, idx)
-			groupMask = eng.MaskAnd(groupMask, eng.Search(r, keys[i]))
-		}
-		groupRows := int64(eng.MPopc(groupMask))
-		for i, a := range q.Aggs {
-			switch a.Kind {
-			case plan.AggSumCol, plan.AggAvg:
-				aggs[i] = eng.RedSum(aggRegs[i][0], groupMask)
-			case plan.AggSumSub:
-				aggs[i] = eng.RedSum(aggRegs[i][0], groupMask) - eng.RedSum(aggRegs[i][1], groupMask)
-				eng.Scalar(1)
-			case plan.AggCount:
-				aggs[i] = groupRows
-			case plan.AggMin:
-				v, _ := eng.RedMin(aggRegs[i][0], groupMask)
-				aggs[i] = int64(v)
-			case plan.AggMax:
-				v, _ := eng.RedMax(aggRegs[i][0], groupMask)
-				aggs[i] = int64(v)
-			case plan.AggCountDistinct:
-				values := distinctUnder(distinctData[i], 0, groupMask)
-				ts.chargeDistinctLoop(int64(len(values)), eng.RegWidth(aggRegs[i][0]))
-				acc.addDistinct(keys, i, values)
-				aggs[i] = 0
-			}
-		}
-		acc.add(keys, aggs, groupRows)
-		eng.Scalar(12)
-		eng.CPAccess(1, int64(len(acc.order))*16)
-		remaining = eng.MaskXor(remaining, groupMask)
 	}
 }

@@ -8,118 +8,46 @@ package exec
 // not a second column stream. Member results are bit-identical to solo
 // execution — the functional kernels are unchanged, only the charge model
 // knows the columns are shared. Shared stream cycles are attributed
-// pro-rata (largest remainder) so member totals partition the group run
-// exactly, mirroring shared_cape.go.
+// pro-rata like CAPE's fused loads (shared.go).
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"castle/internal/baseline"
 	"castle/internal/plan"
 	"castle/internal/storage"
-	"castle/internal/telemetry"
 )
 
-// CPUSharedEligible reports whether the member queries can run as one fused
-// CPU sweep: they must sweep the same fact table. (Unlike CAPE there is no
-// register budget and SUM(a*b) members are fine — the visit loop computes
-// products row-at-a-time.)
-func CPUSharedEligible(queries []*plan.Query) error {
-	if len(queries) == 0 {
-		return fmt.Errorf("exec: shared CPU sweep needs at least one member")
-	}
-	fact := queries[0].Fact
-	for i, q := range queries {
-		if q == nil {
-			return fmt.Errorf("exec: shared CPU sweep: member %d is nil", i)
-		}
-		if q.Fact != fact {
-			return fmt.Errorf("exec: shared CPU sweep: member %d sweeps %q, group sweeps %q", i, q.Fact, fact)
-		}
-	}
-	return nil
-}
-
-// sharedQueryCols returns the union of fact-storage columns the fused CPU
-// sweep streams once per chunk, in first-use order (the CPU twin of
-// plan.SharedScan.SharedColumns, keyed off bound queries rather than
-// physical plans).
-func sharedQueryCols(queries []*plan.Query) []string {
-	seen := make(map[string]struct{})
-	var cols []string
-	add := func(name string) {
-		if name == "" {
-			return
-		}
-		if _, dup := seen[name]; dup {
-			return
-		}
-		seen[name] = struct{}{}
-		cols = append(cols, name)
-	}
-	for _, q := range queries {
-		for _, p := range q.FactPreds {
-			add(p.Column)
-		}
-		for _, j := range q.Joins {
-			add(j.FactFK)
-		}
-		for _, a := range q.Aggs {
-			if a.Kind != plan.AggCount {
-				add(a.A)
-			}
-			if a.Kind == plan.AggSumMul || a.Kind == plan.AggSumSub {
-				add(a.B)
-			}
-		}
-		for _, g := range q.GroupBy {
-			if g.Table == q.Fact {
-				add(g.Column)
-			}
-		}
-	}
-	return cols
-}
-
-// RunSharedCPU executes the member queries as one fused chunked fact sweep
-// on cpu. batchRows is the chunk size in fact rows (<= 0 selects
-// defaultStreamBatchRows). The group runs serially on the single core — a
-// group takes one device lease, not N. Cancellation is checked at every
-// member-phase boundary within each chunk.
-func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
-	db *storage.Database, batchRows int) ([]SharedMemberResult, SharedStats, error) {
+// RunSharedCPU executes the member plans as one fused chunked fact sweep
+// on cpu. Each member runs its bound query's pipeline (dimension order,
+// probe order); the plans supply the shared scan. The group runs serially
+// on the single core — a group takes one device lease, not N.
+// Cancellation is checked at every member-phase boundary within each chunk.
+func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, plans []*plan.Physical,
+	db *storage.Database) ([]SharedMemberResult, SharedStats, error) {
 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := CPUSharedEligible(queries); err != nil {
+	ss, err := plan.NewSharedScan(plans)
+	if err != nil {
 		return nil, SharedStats{}, err
 	}
-	n := len(queries)
-	factName := queries[0].Fact
-	fact := db.MustTable(factName)
-	rows := fact.Rows()
-	if batchRows <= 0 {
-		batchRows = defaultStreamBatchRows
-	}
+	n := len(plans)
+	rows := db.MustTable(ss.Fact).Rows()
 	runStart := cpu.Cycles()
 
 	// Per-member prep on the shared core: dimension filters, probe-order
 	// sort and prebuilt hash tables, all charged exclusively to the member.
 	sweeps := make([]*cpuSweep, n)
+	members := make([]*sharedMember, n)
 	joins := make([][]dimJoin, n)
 	tables := make([][]joinTable, n)
-	prepCycles := make([]map[string]int64, n)
-	prepRows := make([]map[string]int64, n)
-	buildCycles := make([]int64, n)
-	exclusive := make([]int64, n)
-	for i, q := range queries {
-		sweeps[i] = &cpuSweep{cpu: cpu, acc: newGroupAcc(q.Aggs), resident: true,
-			perJoin: make(map[string]int64, len(q.Joins))}
-		prepCycles[i] = make(map[string]int64, len(q.Joins))
-		prepRows[i] = make(map[string]int64, len(q.Joins))
+	for i, p := range plans {
+		q := p.Query
+		sweeps[i] = &cpuSweep{cpu: cpu, resident: true, laneBooks: newLaneBooks(q)}
+		members[i] = newSharedMember(q.Joins, &sweeps[i].laneBooks)
 		joins[i] = make([]dimJoin, 0, len(q.Joins))
 		for _, e := range q.Joins {
 			if err := ctx.Err(); err != nil {
@@ -128,9 +56,7 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 			before := cpu.Cycles()
 			j := cpuPrepareDim(cpu, q, e, db)
 			joins[i] = append(joins[i], j)
-			prepCycles[i][e.Dim] = cpu.Cycles() - before
-			prepRows[i][e.Dim] = int64(len(j.keys))
-			exclusive[i] += cpu.Cycles() - before
+			members[i].prep("CPU", e.Dim, cpu.Cycles()-before, len(j.keys))
 		}
 		sort.SliceStable(joins[i], func(a, b int) bool { return joins[i][a].fraction < joins[i][b].fraction })
 
@@ -150,88 +76,34 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 			// streaming path.
 			sweeps[i].perJoin[j.edge.Dim] += cpu.Cycles() - before
 		}
-		buildCycles[i] = cpu.Cycles() - buildStart
-		exclusive[i] += buildCycles[i]
+		members[i].exclusive += cpu.Cycles() - buildStart
 	}
 
-	cols := sharedQueryCols(queries)
+	cols := ss.SharedColumns()
 
 	// Fused chunked sweep: stream the union columns once per chunk, then run
 	// every member's resident pipeline over the chunk before advancing.
 	var sharedCycles int64
-	for base := 0; base < rows; base += batchRows {
+	for base := 0; base < rows; base += streamBatchRows {
 		if err := ctx.Err(); err != nil {
 			return nil, SharedStats{}, err
 		}
-		end := base + batchRows
-		if end > rows {
-			end = rows
-		}
+		end := min(base+streamBatchRows, rows)
 		sharedBefore := cpu.Cycles()
 		for range cols {
 			cpu.ChargeStream(0, int64(end-base)*4)
 		}
 		sharedCycles += cpu.Cycles() - sharedBefore
 
-		for i, q := range queries {
+		for i, p := range plans {
 			before := cpu.Cycles()
-			if err := sweeps[i].run(ctx, q, db, joins[i], tables[i], base, end); err != nil {
+			if err := sweeps[i].run(ctx, p.Query, db, joins[i], tables[i], base, end); err != nil {
 				return nil, SharedStats{}, err
 			}
-			exclusive[i] += cpu.Cycles() - before
+			members[i].exclusive += cpu.Cycles() - before
 		}
 	}
 
-	total := cpu.Cycles() - runStart
-	var sumExclusive int64
-	for _, e := range exclusive {
-		sumExclusive += e
-	}
-	residual := total - sharedCycles - sumExclusive
-	share := func(t int64, i int) int64 {
-		s := t / int64(n)
-		if int64(i) < t%int64(n) {
-			s++
-		}
-		return s
-	}
-
-	out := make([]SharedMemberResult, n)
-	for i, q := range queries {
-		s := sweeps[i]
-		if len(q.GroupBy) == 0 && len(s.acc.order) == 0 {
-			s.acc.add(nil, make([]int64, len(q.Aggs)), 0)
-		}
-		res := s.acc.result(q)
-		cycles := exclusive[i] + share(sharedCycles, i) + share(residual, i)
-
-		b := &telemetry.Breakdown{Device: "CPU", TotalCycles: cycles}
-		var covered int64
-		for _, e := range q.Joins {
-			cy := prepCycles[i][e.Dim]
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: "prep:" + e.Dim, Device: "CPU", Cycles: cy, Rows: prepRows[i][e.Dim]})
-			covered += cy
-		}
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "shared-scan", Device: "CPU", Cycles: share(sharedCycles, i), Rows: int64(rows)})
-		covered += share(sharedCycles, i)
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "filter", Device: "CPU", Cycles: s.filterCycles, Rows: int64(rows)})
-		covered += s.filterCycles
-		for _, e := range q.Joins {
-			cy := s.perJoin[e.Dim]
-			b.Operators = append(b.Operators, telemetry.OperatorStats{
-				Operator: "join:" + e.Dim, Device: "CPU", Cycles: cy, Rows: prepRows[i][e.Dim]})
-			covered += cy
-		}
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "aggregate", Device: "CPU", Cycles: s.aggCycles, Rows: int64(len(res.Rows))})
-		covered += s.aggCycles
-		b.Operators = append(b.Operators, telemetry.OperatorStats{
-			Operator: "overhead", Device: "CPU", Cycles: cycles - covered, Rows: -1})
-
-		out[i] = SharedMemberResult{Result: res, Cycles: cycles, Breakdown: b}
-	}
-	return out, SharedStats{SharedScanCycles: sharedCycles, TotalCycles: total, Members: n}, nil
+	out, st := closeShared("CPU", plans, members, sharedCycles, cpu.Cycles()-runStart, rows)
+	return out, st, nil
 }

@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"strings"
+
 	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/isa"
+	"castle/internal/plan"
+	"castle/internal/storage"
 	"castle/internal/telemetry"
 )
 
@@ -59,4 +63,30 @@ func AttachCPUTelemetry(cpu *baseline.CPU, tel *telemetry.Telemetry) {
 			billed += d
 		}
 	})
+}
+
+// countRowsScanned records one run's scanned rows on tel: the fact rows
+// under the fact device, and each dimension's rows under the device that
+// built it (dimDev nil: the fact device).
+func countRowsScanned(tel *telemetry.Telemetry, db *storage.Database, q *plan.Query,
+	factDev Device, dimDev func(dim string) Device) {
+
+	if tel == nil {
+		return
+	}
+	scanned := map[Device]int64{factDev: int64(db.MustTable(q.Fact).Rows())}
+	for _, e := range q.Joins {
+		dev := factDev
+		if dimDev != nil {
+			dev = dimDev(e.Dim)
+		}
+		scanned[dev] += int64(db.MustTable(e.Dim).Rows())
+	}
+	for _, dev := range []Device{DeviceCAPE, DeviceCPU} {
+		if n, ok := scanned[dev]; ok {
+			tel.Metrics().Counter(telemetry.MetricRowsScanned,
+				"Rows scanned across fact and dimension tables.",
+				telemetry.L("device", strings.ToLower(dev.String()))).Add(n)
+		}
+	}
 }

@@ -219,10 +219,12 @@ var ErrUnsupported = errors.New("plan: unsupported on device")
 // Validate checks the placement constraints Compile/Place maintain by
 // construction — the fused fact stage on one device and the aggregation
 // tail on one device — and rejects, with an error wrapping ErrUnsupported,
-// a split plan that asks CAPE to aggregate a grouped SUM(a*b): CAPE's tail
-// over shipped tuples has no grouped vv-arithmetic kernel. A plan wholly on
-// CAPE is left to the engine, which runs the shape unless its adaptive data
-// layout pins the aggregation to CAM mode.
+// a split plan that asks CAPE to aggregate a grouped SUM(a*b): with the
+// adaptive data layout CAPE's tail runs vv arithmetic in GP mode, where
+// Algorithm 2's CAM-mode searches cannot run, and a plan does not know the
+// engine's layout. A plan wholly on CAPE is left to the engine, which runs
+// the shape unless its adaptive data layout pins the aggregation to CAM
+// mode.
 func (pp *PlacedPlan) Validate() error {
 	if _, uniform := pp.Uniform(); !uniform && pp.AggDevice() == DeviceCAPE && pp.Phys.Query.GroupedSumMul() {
 		return fmt.Errorf("%w: CAPE cannot aggregate shipped SUM(a*b) tuples under GROUP BY; place the tail on the CPU", ErrUnsupported)

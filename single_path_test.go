@@ -63,6 +63,41 @@ func TestGroupedSumMulRejectedOnCAPE(t *testing.T) {
 	}
 }
 
+// TestGroupedSumMulManyGroupsWithoutADL: unmodified CAPE aggregates a
+// grouped SUM(a*b) with one product register per aggregate, so a group
+// count past the CSB register file answers like the CPU, and the product
+// register changes no cycle count.
+func TestGroupedSumMulManyGroupsWithoutADL(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 1)
+	noADL := castle.Options{Device: castle.DeviceCAPE, DisableEnhancements: true}
+	for _, tc := range []struct {
+		group  string
+		groups int
+	}{{"d_yearmonthnum", 84}, {"lo_quantity", 50}} {
+		q := "SELECT " + tc.group + ", SUM(lo_extendedprice * lo_discount) FROM lineorder, date " +
+			"WHERE lo_orderdate = d_datekey GROUP BY " + tc.group
+		want, _, err := db.QueryWith(q, castle.Options{Device: castle.DeviceCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, m, err := db.QueryWith(q, noADL)
+		if err != nil {
+			t.Fatalf("GROUP BY %s: %v", tc.group, err)
+		}
+		if m.DeviceUsed != "CAPE" || len(got.Data) != tc.groups || !reflect.DeepEqual(got.Data, want.Data) {
+			t.Fatalf("GROUP BY %s on %s: %d groups, want %d matching the CPU\ngot:  %v\nwant: %v",
+				tc.group, m.DeviceUsed, len(got.Data), tc.groups, got.Data, want.Data)
+		}
+	}
+	_, m, err := db.QueryWith(groupedSumMulSQL, noADL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycles != 287480 {
+		t.Fatalf("GROUP BY d_year: %d cycles, want 287480", m.Cycles)
+	}
+}
+
 // TestHybridHonoursDisableFusion: a hybrid run the router sends to CAPE
 // must run the same fusion ablation a forced CAPE run does, and every
 // per-operator run whose fact stage sweeps on CAPE pays for it too.

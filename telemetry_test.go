@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	castle "castle"
+	"castle/internal/telemetry"
 )
 
 // TestQueryWithTelemetry drives the public facade end to end on a fixed
@@ -102,6 +103,57 @@ func TestQueryWithTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `castle_queries_total{device="cpu"} 1`) {
 		t.Fatalf("second run not counted:\n%s", b.String())
+	}
+}
+
+// TestRowsScannedOncePerRun: every execution path records
+// castle_rows_scanned_total exactly once per run — the fact rows under the
+// fact device, and each dimension's rows under the device that built it.
+// Q3.1's per-operator placement at this scale builds date on the CPU and
+// sweeps the fact table on CAPE, so split and adaptive runs count on both
+// devices.
+func TestRowsScannedOncePerRun(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 20260704)
+	q := castle.SSBQueries()[6] // Q3.1
+	perOp := castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}
+	adaptive := perOp
+	adaptive.AdaptivePlacement = true
+	for _, tc := range []struct {
+		name string
+		opt  castle.Options
+	}{
+		{"cape", castle.Options{Device: castle.DeviceCAPE}},
+		{"cpu", castle.Options{Device: castle.DeviceCPU}},
+		{"per-operator", perOp},
+		{"per-operator+adaptive", adaptive},
+	} {
+		tel := castle.NewTelemetry()
+		opt := tc.opt
+		opt.Telemetry = tel
+		_, m, err := db.QueryWith(q.SQL, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The serial breakdown names where each scan ran: the filter row
+		// sweeps the fact table, each prep row filters one dimension.
+		want := map[string]int64{}
+		for _, o := range m.Breakdown.Operators {
+			dev := strings.ToLower(o.Device)
+			if o.Operator == "filter" {
+				want[dev] += int64(db.RowCount("lineorder"))
+			} else if dim, ok := strings.CutPrefix(o.Operator, "prep:"); ok {
+				want[dev] += int64(db.RowCount(dim))
+			}
+		}
+		if tc.opt.Placement == castle.PlacementPerOperator && (want["cape"] == 0 || want["cpu"] == 0) {
+			t.Fatalf("%s: expected a split placement, breakdown:\n%s", tc.name, m.Breakdown.Format())
+		}
+		for _, dev := range []string{"cape", "cpu"} {
+			got := tel.Metrics().CounterValue(telemetry.MetricRowsScanned, telemetry.L("device", dev))
+			if got != want[dev] {
+				t.Errorf("%s: %s{device=%q} = %d, want %d", tc.name, telemetry.MetricRowsScanned, dev, got, want[dev])
+			}
+		}
 	}
 }
 
