@@ -2,6 +2,7 @@ package cape
 
 import (
 	"fmt"
+	"slices"
 
 	"castle/internal/bitvec"
 	"castle/internal/isa"
@@ -80,32 +81,78 @@ type vreg struct {
 	known bool // width provided by DB statistics or discovered
 	valid bool // contents survive only within one layout epoch
 
-	// index lazily maps value -> element positions so the functional side
-	// of searches costs O(matches) instead of O(VL). It is a simulator
-	// acceleration only — cycle charging is unaffected. Any write to the
-	// register drops it; the next search rebuilds it.
-	index   map[uint32][]int32
-	indexVL int
+	// The search index holds the first indexVL (value, position) pairs
+	// sorted by value, positions ascending within a value, so the
+	// functional side of a search costs O(log VL + matches) instead of
+	// O(VL). It is a simulator acceleration only — cycle charging is
+	// unaffected. Any write to the register marks it stale; the next
+	// search rebuilds it in place, reusing the buffers.
+	idxVals, idxPos []uint32
+	tmpVals, tmpPos []uint32 // radix-sort scratch
+	indexed         bool
+	indexVL         int
 }
 
-// invalidateIndex drops the search acceleration index after a write.
-func (v *vreg) invalidateIndex() { v.index = nil }
+// invalidateIndex marks the search index stale after a write.
+func (v *vreg) invalidateIndex() { v.indexed = false }
 
-// buildIndex (re)builds the value->positions map over the first vl elements.
+// buildIndex sorts the first vl (value, position) pairs with a stable LSD
+// radix sort, one pass per byte, skipping bytes every element shares.
 func (v *vreg) buildIndex(vl int) {
-	v.index = make(map[uint32][]int32, vl)
+	vals, pos := grow(v.idxVals, vl), grow(v.idxPos, vl)
+	tmpVals, tmpPos := grow(v.tmpVals, vl), grow(v.tmpPos, vl)
+	var counts [4][256]int
 	for i, x := range v.data[:vl] {
-		v.index[x] = append(v.index[x], int32(i))
+		vals[i], pos[i] = x, uint32(i)
+		counts[0][x&0xff]++
+		counts[1][x>>8&0xff]++
+		counts[2][x>>16&0xff]++
+		counts[3][x>>24]++
 	}
-	v.indexVL = vl
+	for b := range counts {
+		shift := 8 * b
+		c := &counts[b]
+		if vl == 0 || c[vals[0]>>shift&0xff] == vl {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for i, x := range vals {
+			d := x >> shift & 0xff
+			tmpVals[c[d]], tmpPos[c[d]] = x, pos[i]
+			c[d]++
+		}
+		vals, tmpVals = tmpVals, vals
+		pos, tmpPos = tmpPos, pos
+	}
+	v.idxVals, v.idxPos, v.tmpVals, v.tmpPos = vals, pos, tmpVals, tmpPos
+	v.indexed, v.indexVL = true, vl
 }
 
-// lookup returns the positions of key among the first vl elements.
-func (v *vreg) lookup(key uint32, vl int) []int32 {
-	if v.index == nil || v.indexVL != vl {
+// grow returns s resized to n elements, reallocating only when it must.
+func grow(s []uint32, n int) []uint32 {
+	if cap(s) < n {
+		return make([]uint32, n)
+	}
+	return s[:n]
+}
+
+// lookup returns the positions of key among the first vl elements, in
+// ascending order. The slice aliases the index: it is valid until the
+// register is next written or searched at another VL.
+func (v *vreg) lookup(key uint32, vl int) []uint32 {
+	if !v.indexed || v.indexVL != vl {
 		v.buildIndex(vl)
 	}
-	return v.index[key]
+	lo, _ := slices.BinarySearch(v.idxVals, key)
+	hi := lo
+	for hi < len(v.idxVals) && v.idxVals[hi] == key {
+		hi++
+	}
+	return v.idxPos[lo:hi]
 }
 
 // New returns an Engine for the given configuration.

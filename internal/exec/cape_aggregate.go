@@ -110,15 +110,20 @@ func (s *tileSweep) aggregateScalar(q *plan.Query, data func(string) []uint32, r
 		return
 	}
 	vals := make([]int64, len(q.Aggs))
+	// Every SUM(a*b) reduces its product right away, so they share one
+	// product register.
+	product := cape.VReg(-1)
 	for i, a := range q.Aggs {
 		switch a.Kind {
 		case plan.AggSumCol, plan.AggAvg:
 			vals[i] = eng.RedSum(load(a.A), rowMask)
 		case plan.AggSumMul:
 			ra, rb := load(a.A), load(a.B)
-			tmp := regs.fresh()
-			eng.MulVV(tmp, ra, rb)
-			vals[i] = eng.RedSum(tmp, rowMask)
+			if product < 0 {
+				product = regs.fresh()
+			}
+			eng.MulVV(product, ra, rb)
+			vals[i] = eng.RedSum(product, rowMask)
 		case plan.AggSumSub:
 			// sum(a-b) = sum(a) - sum(b): two predicated reductions and a
 			// scalar subtract, avoiding bit-serial vv subtraction.

@@ -145,15 +145,16 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 
 	// Materialize fetched attributes into the fact-aligned vectors with
 	// single-row bulk updates.
+	single := bitvec.New(factVL)
 	for row, vals := range rowAttr {
 		if !newMask.Get(row) {
 			continue
 		}
-		single := bitvec.New(factVL)
 		single.Set(row)
 		for i, r := range targets {
 			eng.Merge(r, single, vals[i])
 		}
+		single.Clear(row)
 	}
 	return newMask
 }

@@ -9,6 +9,7 @@ package castle_test
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	castle "castle"
@@ -95,6 +96,42 @@ func TestGroupedSumMulManyGroupsWithoutADL(t *testing.T) {
 	}
 	if m.Cycles != 287480 {
 		t.Fatalf("GROUP BY d_year: %d cycles, want 287480", m.Cycles)
+	}
+}
+
+// TestScalarSumMulManyAggregates: a scalar query's SUM(a*b) aggregates
+// share one product register, so more of them than the CSB has registers
+// answer like the CPU on forced CAPE and on the hybrid router's CAPE pick,
+// and sharing the register changes no cycle count.
+func TestScalarSumMulManyAggregates(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 1)
+	query := func(copies int) string {
+		sums := make([]string, copies)
+		for i := range sums {
+			sums[i] = "SUM(lo_extendedprice * lo_discount)"
+		}
+		return "SELECT " + strings.Join(sums, ", ") + " FROM lineorder WHERE lo_quantity < 25"
+	}
+	q := query(31)
+	want, _, err := db.QueryWith(q, castle.Options{Device: castle.DeviceCPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []castle.Device{castle.DeviceCAPE, castle.DeviceHybrid} {
+		got, m, err := db.QueryWith(q, castle.Options{Device: dev})
+		if err != nil {
+			t.Fatalf("%v: %v", dev, err)
+		}
+		if m.DeviceUsed != "CAPE" || !reflect.DeepEqual(got.Data, want.Data) {
+			t.Fatalf("%v ran on %s\ngot:  %v\nwant: %v", dev, m.DeviceUsed, got.Data, want.Data)
+		}
+	}
+	_, m, err := db.QueryWith(query(30), castle.Options{Device: castle.DeviceCAPE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycles != 54248 {
+		t.Fatalf("30 copies: %d cycles, want 54248", m.Cycles)
 	}
 }
 
