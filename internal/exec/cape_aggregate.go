@@ -2,10 +2,11 @@ package exec
 
 // cape_aggregate.go holds the CAPE Aggregate kernels: Algorithm 2's
 // per-group search loop (generalised to composite keys), the scalar
-// no-GROUP-BY reductions, the single-group-column bulk fast path, and the
-// COUNT(DISTINCT) nested loop.
+// no-GROUP-BY reductions, the one-pass bulk fast path for the group loop,
+// and the COUNT(DISTINCT) nested loop.
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"castle/internal/bitvec"
@@ -185,8 +186,7 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, data func(string) []uint32, r
 		}
 	}
 
-	if len(groupRegs) == 1 && !s.opts.NoBulkAggFastPath &&
-		s.bulkGroupLoop(q, groupRegs[0], aggRegs, rowMask) {
+	if !s.opts.NoBulkAggFastPath && s.bulkGroupLoop(q, groupRegs, aggRegs, rowMask) {
 		return
 	}
 
@@ -238,13 +238,16 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, data func(string) []uint32, r
 	}
 }
 
-// bulkGroupLoop is a simulator fast path for Algorithm 2 with a single
-// group column: it computes every group's aggregates in one pass over the
-// partition and bills the exact per-group instruction sequence the
-// iterative loop would issue (vfirst + extract + search + mask AND +
-// predicated reductions + mask XOR + CP bookkeeping). Returns false when an
+// bulkGroupLoop is a simulator fast path for Algorithm 2: it computes
+// every group's aggregates in one pass over the partition and bills the
+// exact per-group instruction sequence the iterative loop would issue
+// (vfirst; per group column an extract, a search and a mask AND; the
+// predicated reductions, a mask XOR and the CP bookkeeping). A surviving
+// row's group is its packed composite key, and groups keep the order of
+// their first row — the order the loop's vfirst finds them, which the
+// per-group CP working-set charge depends on. Returns false when an
 // aggregate shape is unsupported, falling back to the literal loop.
-func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupReg cape.VReg, aggRegs [][3]cape.VReg,
+func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupRegs []cape.VReg, aggRegs [][3]cape.VReg,
 	rowMask *bitvec.Vector) bool {
 
 	for _, a := range q.Aggs {
@@ -254,97 +257,117 @@ func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupReg cape.VReg, aggRegs [][
 	}
 	eng := s.eng
 	acc := s.acc
-	gdata := eng.Peek(groupReg)
+	if rowMask.First() == -1 {
+		// The loop's one vfirst finds the mask empty: it never searches or
+		// reduces, so no ABA width discovery runs either.
+		eng.Charge(isa.OpVMFirst, 32, 1)
+		return true
+	}
+	gdata := make([][]uint32, len(groupRegs))
+	for c, r := range groupRegs {
+		gdata[c] = eng.Peek(r)
+	}
 	adata := make([][2][]uint32, len(q.Aggs))
-	widths := make([][2]int, len(q.Aggs))
 	for i, a := range q.Aggs {
 		if a.Kind != plan.AggCount {
 			adata[i][0] = eng.Peek(aggRegs[i][0])
-			widths[i][0] = eng.RegWidth(aggRegs[i][0])
 		}
 		if a.Kind == plan.AggSumSub {
 			adata[i][1] = eng.Peek(aggRegs[i][1])
-			widths[i][1] = eng.RegWidth(aggRegs[i][1])
 		}
 	}
 
-	type gacc struct {
-		sums  []int64
-		count int64
-	}
-	groups := make(map[uint32]*gacc)
-	order := make([]uint32, 0, 64)
+	// Group g's key is keys[g*nk:][:nk], its aggregates vals[g*na:][:na].
+	nk, na := len(groupRegs), len(q.Aggs)
+	groups := make(map[string]int)
+	var keys []uint32
+	var vals, counts []int64
+	packed := make([]byte, 4*nk)
 	for i := rowMask.First(); i != -1; i = rowMask.NextAfter(i) {
-		k := gdata[i]
-		g := groups[k]
-		if g == nil {
-			g = &gacc{sums: make([]int64, len(q.Aggs))}
-			for ai, a := range q.Aggs {
-				if a.Kind == plan.AggMin || a.Kind == plan.AggMax {
-					g.sums[ai] = int64(adata[ai][0][i])
-				}
-			}
-			groups[k] = g
-			order = append(order, k)
+		for c, d := range gdata {
+			binary.LittleEndian.PutUint32(packed[4*c:], d[i])
 		}
-		g.count++
+		g, ok := groups[string(packed)]
+		if !ok {
+			g = len(counts)
+			groups[string(packed)] = g
+			for _, d := range gdata {
+				keys = append(keys, d[i])
+			}
+			for ai, a := range q.Aggs {
+				var init int64
+				if a.Kind == plan.AggMin || a.Kind == plan.AggMax {
+					init = int64(adata[ai][0][i])
+				}
+				vals = append(vals, init)
+			}
+			counts = append(counts, 0)
+		}
+		counts[g]++
+		gv := vals[g*na:][:na]
 		for ai, a := range q.Aggs {
 			switch a.Kind {
 			case plan.AggSumCol, plan.AggAvg:
-				g.sums[ai] += int64(adata[ai][0][i])
+				gv[ai] += int64(adata[ai][0][i])
 			case plan.AggSumSub:
-				g.sums[ai] += int64(adata[ai][0][i]) - int64(adata[ai][1][i])
+				gv[ai] += int64(adata[ai][0][i]) - int64(adata[ai][1][i])
 			case plan.AggCount:
-				g.sums[ai]++
+				gv[ai]++
 			case plan.AggMin:
-				if v := int64(adata[ai][0][i]); v < g.sums[ai] {
-					g.sums[ai] = v
+				if v := int64(adata[ai][0][i]); v < gv[ai] {
+					gv[ai] = v
 				}
 			case plan.AggMax:
-				if v := int64(adata[ai][0][i]); v > g.sums[ai] {
-					g.sums[ai] = v
+				if v := int64(adata[ai][0][i]); v > gv[ai] {
+					gv[ai] = v
 				}
 			}
 		}
 	}
 
 	// Bill the instruction stream the iterative loop would have issued.
-	n := int64(len(order))
-	gw := 32
-	if eng.Layout() == cape.GPMode {
-		// GP-mode searches are bit-serial at the register's ABA width;
-		// CAM-mode searches cost 3 cycles regardless, with no width
-		// discovery.
-		gw = eng.RegWidth(groupReg)
-	}
+	n := int64(len(counts))
 	eng.Charge(isa.OpVMFirst, 32, n+1) // one extra probe finds the empty mask
-	eng.Charge(isa.OpVExtract, 32, n)
-	eng.Charge(isa.OpVMSeqVX, gw, n)
-	eng.Charge(isa.OpVMAnd, 32, n)
+	for _, r := range groupRegs {
+		gw := 32
+		if eng.Layout() == cape.GPMode {
+			// GP-mode searches are bit-serial at the register's ABA
+			// width; CAM-mode searches cost 3 cycles regardless, with no
+			// width discovery.
+			gw = eng.RegWidth(r)
+		}
+		eng.Charge(isa.OpVExtract, 32, n)
+		eng.Charge(isa.OpVMSeqVX, gw, n)
+		eng.Charge(isa.OpVMAnd, 32, n)
+	}
 	eng.Charge(isa.OpVMXor, 32, n)
 	eng.Charge(isa.OpVMPopc, 32, n) // per-group row count
+	subs := int64(0)
 	for ai, a := range q.Aggs {
 		switch a.Kind {
 		case plan.AggSumCol, plan.AggAvg:
-			eng.Charge(isa.OpVRedSum, widths[ai][0], n)
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][0]), n)
 		case plan.AggSumSub:
-			eng.Charge(isa.OpVRedSum, widths[ai][0], n)
-			eng.Charge(isa.OpVRedSum, widths[ai][1], n)
-			eng.Scalar(n)
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][0]), n)
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][1]), n)
+			subs++
 		case plan.AggCount:
 			// counted by the shared vcpop above
 		case plan.AggMin:
-			eng.Charge(isa.OpVRedMin, widths[ai][0], n)
+			eng.Charge(isa.OpVRedMin, eng.RegWidth(aggRegs[ai][0]), n)
 		case plan.AggMax:
-			eng.Charge(isa.OpVRedMax, widths[ai][0], n)
+			eng.Charge(isa.OpVRedMax, eng.RegWidth(aggRegs[ai][0]), n)
 		}
 	}
-	eng.Scalar(12 * n)
 
-	key := make([]uint32, 1)
-	for _, k := range order {
-		key[0] = k
-		acc.add(key, groups[k].sums, groups[k].count)
+	for g := range counts {
+		// The loop bills each group's scalar subtracts and bookkeeping as
+		// separate instructions, each rounded on its own.
+		for range subs {
+			eng.Scalar(1)
+		}
+		acc.add(keys[g*nk:][:nk], vals[g*na:][:na], counts[g])
+		eng.Scalar(12) // CP-side result append/merge instructions
 		eng.CPAccess(1, int64(len(acc.order))*16)
 	}
 	return true

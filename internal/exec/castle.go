@@ -18,10 +18,9 @@ type CastleOptions struct {
 	// a CSB-resident partition back to back instead of materializing masks
 	// through main memory between operator sweeps.
 	Fusion bool
-	// NoBulkAggFastPath forces the literal per-group Algorithm 2 loop even
-	// for single-column group-bys. The fast path computes identical
-	// results and bills identical cycles; this switch exists so tests can
-	// assert that equivalence.
+	// NoBulkAggFastPath forces the literal per-group Algorithm 2 loop. The
+	// fast path computes identical results and bills identical cycles;
+	// this switch exists so tests can assert that equivalence.
 	NoBulkAggFastPath bool
 	// Parallelism is the initial number of CAPE tiles the fact sweep may
 	// fan out across (§7.2's tiled deployment). Values <= 1 run the sweep

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -416,72 +418,137 @@ func TestCountAggregate(t *testing.T) {
 	}
 }
 
-// TestBulkGroupLoopMatchesLiteralLoop asserts the single-group-column fast
-// path bills the same cycles and returns the same rows as the literal
-// Algorithm 2 loop it replaces.
+// TestBulkGroupLoopMatchesLiteralLoop asserts the one-pass group fast path
+// returns the same rows and bills exactly the same accounting — cycles per
+// pool and class, instruction counts per opcode — as the literal Algorithm
+// 2 loop it replaces, over one to three group columns drawn from the fact
+// and the dimensions, every aggregate kind it takes, and an empty result,
+// in CAM mode, in GP mode with ABA width discovery, and without
+// enhancements.
 func TestBulkGroupLoopMatchesLiteralLoop(t *testing.T) {
 	database, cat := db(t)
-	bound := bindQuery(t, database, `
-		SELECT d_year, SUM(lo_revenue)
-		FROM lineorder, date
-		WHERE lo_orderdate = d_datekey
-		GROUP BY d_year`)
-	cfg := withFlags(smallCape(), true, true, true)
-	p := optimize(t, bound, cat, cfg.MAXVL)
-
-	engFast := cape.New(cfg)
-	fast := NewCastle(engFast, cat, CastleOptions{Fusion: true}).Run(p, database)
-	engLit := cape.New(cfg)
-	lit := NewCastle(engLit, cat, CastleOptions{Fusion: true, NoBulkAggFastPath: true}).Run(p, database)
-
-	if !fast.Equal(lit) {
-		t.Fatal("fast path changed results")
+	shapes := []struct{ name, sql string }{
+		{"1col-sum", `SELECT d_year, SUM(lo_revenue) FROM lineorder, date
+			WHERE lo_orderdate = d_datekey GROUP BY d_year`},
+		{"1col-sumsub", `SELECT d_year, SUM(lo_revenue - lo_supplycost) FROM lineorder, date
+			WHERE lo_orderdate = d_datekey GROUP BY d_year`},
+		{"1col-fact-minmaxavgcount", `SELECT lo_discount, MIN(lo_quantity), MAX(lo_extendedprice),
+			AVG(lo_revenue), COUNT(lo_revenue) FROM lineorder WHERE lo_quantity < 25 GROUP BY lo_discount`},
+		{"2col-sumsub", `SELECT d_year, c_nation, SUM(lo_revenue - lo_supplycost)
+			FROM lineorder, customer, supplier, date
+			WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
+			  AND c_region = 'AMERICA' AND s_region = 'AMERICA' GROUP BY d_year, c_nation`},
+		{"2col-fact-dim-minmaxavgcount", `SELECT d_year, lo_discount, MIN(lo_quantity), MAX(lo_quantity),
+			AVG(lo_extendedprice), COUNT(lo_revenue) FROM lineorder, date
+			WHERE lo_orderdate = d_datekey AND lo_quantity < 25 GROUP BY d_year, lo_discount`},
+		{"3col-sum", `SELECT c_nation, s_nation, d_year, SUM(lo_revenue)
+			FROM customer, lineorder, supplier, date
+			WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
+			  AND c_region = 'ASIA' AND s_region = 'ASIA' AND d_year >= 1992 AND d_year <= 1997
+			GROUP BY c_nation, s_nation, d_year`},
+		{"3col-fact-dim-sumsub-minmax", `SELECT d_year, s_nation, lo_discount, SUM(lo_revenue - lo_supplycost),
+			MIN(lo_revenue), MAX(lo_revenue), COUNT(lo_revenue) FROM lineorder, supplier, date
+			WHERE lo_suppkey = s_suppkey AND lo_orderdate = d_datekey AND s_region = 'ASIA'
+			GROUP BY d_year, s_nation, lo_discount`},
+		{"1col-empty", `SELECT p_brand1, SUM(lo_revenue) FROM lineorder, part, date
+			WHERE lo_partkey = p_partkey AND lo_orderdate = d_datekey AND d_year = 2050 GROUP BY p_brand1`},
+		{"3col-empty", `SELECT d_year, p_brand1, lo_discount, MIN(lo_revenue), SUM(lo_revenue - lo_supplycost)
+			FROM lineorder, part, date
+			WHERE lo_partkey = p_partkey AND lo_orderdate = d_datekey AND d_year = 2050
+			GROUP BY d_year, p_brand1, lo_discount`},
 	}
-	fc, lc := engFast.Stats().TotalCycles(), engLit.Stats().TotalCycles()
-	if fc != lc {
-		t.Fatalf("fast path billed %d cycles, literal loop %d", fc, lc)
+	configs := []struct {
+		name          string
+		adl, mks, aba bool
+	}{
+		{"enhanced", true, true, true}, // CAM-mode searches
+		{"gp-aba", false, false, true}, // bit-serial searches at discovered widths
+		{"none", false, false, false},
 	}
-	fs, ls := engFast.Stats(), engLit.Stats()
-	for c := range fs.CSBCyclesByClass {
-		if fs.CSBCyclesByClass[c] != ls.CSBCyclesByClass[c] {
-			t.Fatalf("class %d cycles differ: %d vs %d", c, fs.CSBCyclesByClass[c], ls.CSBCyclesByClass[c])
+	for _, sh := range shapes {
+		bound := bindQuery(t, database, sh.sql)
+		want := Reference(bound, database)
+		for _, c := range configs {
+			for _, maxvl := range []int{4096, 32768} {
+				t.Run(fmt.Sprintf("%s/%s/vl%d", sh.name, c.name, maxvl), func(t *testing.T) {
+					cfg := cape.DefaultConfig()
+					cfg.MAXVL = maxvl
+					cfg = withFlags(cfg, c.adl, c.mks, c.aba)
+					p := optimize(t, bound, cat, maxvl)
+					engFast, engLit := cape.New(cfg), cape.New(cfg)
+					fast := NewCastle(engFast, cat, CastleOptions{Fusion: true}).Run(p, database)
+					lit := NewCastle(engLit, cat, CastleOptions{Fusion: true, NoBulkAggFastPath: true}).Run(p, database)
+					if !want.Equal(fast) || !want.Equal(lit) {
+						t.Fatalf("rows differ: reference %d, fast path %d, literal loop %d",
+							len(want.Rows), len(fast.Rows), len(lit.Rows))
+					}
+					if d := statsMismatch(engFast.Stats(), engLit.Stats()); d != "" {
+						t.Fatalf("fast path vs literal loop: %s", d)
+					}
+				})
+			}
 		}
 	}
 
 	// The CAPE tail of a split run aggregates shipped survivors with the
 	// same kernels, so a CPU fact stage feeding a CAPE tail takes the fast
 	// path too, materializing and streaming alike.
-	pp := plan.Compile(p, plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCAPE, nil)
-	for _, streaming := range []bool{false, true} {
-		run := func(opts CastleOptions) (*Result, *cape.Engine, *Placed) {
-			eng := cape.New(cfg)
-			x := NewPlaced(NewCastle(eng, cat, opts), NewCPUExec(baseline.New(baseline.DefaultConfig())), cat)
-			x.SetStreaming(streaming)
-			res, err := x.Run(pp, database)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, eng, x
-		}
-		fast, engFast, xFast := run(CastleOptions{Fusion: true})
-		lit, engLit, xLit := run(CastleOptions{Fusion: true, NoBulkAggFastPath: true})
-		if !fast.Equal(lit) || len(fast.Rows) < 2 {
-			t.Fatalf("streaming=%v: tail fast path changed results (%d vs %d rows)", streaming, len(fast.Rows), len(lit.Rows))
-		}
-		fc, fu := xFast.DeviceCycles()
-		lc, lu := xLit.DeviceCycles()
-		if fc != lc || fu != lu || fc != engFast.Stats().TotalCycles() {
-			t.Fatalf("streaming=%v: tail fast path billed CAPE %d CPU %d, literal loop CAPE %d CPU %d",
-				streaming, fc, fu, lc, lu)
-		}
-		fs, ls := engFast.Stats(), engLit.Stats()
-		for c := range fs.CSBCyclesByClass {
-			if fs.CSBCyclesByClass[c] != ls.CSBCyclesByClass[c] {
-				t.Fatalf("streaming=%v: tail class %d cycles differ: %d vs %d",
-					streaming, c, fs.CSBCyclesByClass[c], ls.CSBCyclesByClass[c])
-			}
+	cfg := withFlags(smallCape(), true, true, true)
+	for _, sh := range shapes {
+		bound := bindQuery(t, database, sh.sql)
+		want := Reference(bound, database)
+		pp := plan.Compile(optimize(t, bound, cat, cfg.MAXVL), plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCAPE, nil)
+		for _, streaming := range []bool{false, true} {
+			t.Run(fmt.Sprintf("split-run/%s/streaming=%v", sh.name, streaming), func(t *testing.T) {
+				run := func(opts CastleOptions) (*Result, *cape.Engine, *Placed) {
+					eng := cape.New(cfg)
+					x := NewPlaced(NewCastle(eng, cat, opts), NewCPUExec(baseline.New(baseline.DefaultConfig())), cat)
+					x.SetStreaming(streaming)
+					res, err := x.Run(pp, database)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, eng, x
+				}
+				fast, engFast, xFast := run(CastleOptions{Fusion: true})
+				lit, engLit, xLit := run(CastleOptions{Fusion: true, NoBulkAggFastPath: true})
+				if !want.Equal(fast) || !want.Equal(lit) {
+					t.Fatalf("tail rows differ: reference %d, fast path %d, literal loop %d",
+						len(want.Rows), len(fast.Rows), len(lit.Rows))
+				}
+				fc, fu := xFast.DeviceCycles()
+				lc, lu := xLit.DeviceCycles()
+				if fc != lc || fu != lu || fc != engFast.Stats().TotalCycles() {
+					t.Fatalf("tail fast path billed CAPE %d CPU %d, literal loop CAPE %d CPU %d", fc, fu, lc, lu)
+				}
+				if d := statsMismatch(engFast.Stats(), engLit.Stats()); d != "" {
+					t.Fatalf("tail fast path vs literal loop: %s", d)
+				}
+			})
 		}
 	}
+}
+
+// statsMismatch names the first accounting field where two engines' stats
+// differ, or returns "" when they agree exactly.
+func statsMismatch(a, b cape.Stats) string {
+	switch {
+	case a.TotalCycles() != b.TotalCycles():
+		return fmt.Sprintf("total cycles %d vs %d", a.TotalCycles(), b.TotalCycles())
+	case a.CPCycles != b.CPCycles:
+		return fmt.Sprintf("CP cycles %d vs %d", a.CPCycles, b.CPCycles)
+	case a.MemCycles != b.MemCycles:
+		return fmt.Sprintf("memory cycles %d vs %d", a.MemCycles, b.MemCycles)
+	case a.CSBCyclesByClass != b.CSBCyclesByClass:
+		return fmt.Sprintf("CSB cycles by class %v vs %v", a.CSBCyclesByClass, b.CSBCyclesByClass)
+	case a.VectorInstrs != b.VectorInstrs:
+		return fmt.Sprintf("vector instructions %d vs %d", a.VectorInstrs, b.VectorInstrs)
+	case a.ScalarInstrs != b.ScalarInstrs:
+		return fmt.Sprintf("scalar instructions %d vs %d", a.ScalarInstrs, b.ScalarInstrs)
+	case !maps.Equal(a.InstrsByOp, b.InstrsByOp):
+		return fmt.Sprintf("instructions by opcode %v vs %v", a.InstrsByOp, b.InstrsByOp)
+	}
+	return ""
 }
 
 // TestOrderByAcrossEngines verifies ORDER BY (including DESC on an

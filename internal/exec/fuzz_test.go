@@ -3,9 +3,10 @@ package exec
 // fuzz_test.go generates random star schemas and random SQL queries over
 // them, then requires the reference engine, the baseline CPU executor, and
 // the Castle/CAPE executor (under randomized CAPE configurations and plan
-// shapes) to return identical relations. This drives the whole pipeline —
-// lexer, parser, binder, optimizer, executors — through input shapes the
-// SSB suite does not cover.
+// shapes) to return identical relations, and the CAPE executor's group
+// fast path to bill exactly what the literal Algorithm 2 loop bills. This
+// drives the whole pipeline — lexer, parser, binder, optimizer, executors —
+// through input shapes the SSB suite does not cover.
 
 import (
 	"fmt"
@@ -249,12 +250,23 @@ func TestFuzzEnginesAgree(t *testing.T) {
 				}
 				opts := DefaultCastleOptions()
 				opts.Fusion = rng.Intn(2) == 0
-				opts.NoBulkAggFastPath = rng.Intn(2) == 0
 				eng := cape.New(cfg)
 				got := NewCastle(eng, cat, opts).Run(p, s.db)
 				if !want.Equal(got) {
 					t.Fatalf("castle differs on %q (cfg %v, plan %v)\nref:\n%s\ncastle:\n%s",
 						qsql, cfg, p, want.Format(s.db), got.Format(s.db))
+				}
+				// The literal Algorithm 2 loop on the same plan and config
+				// must agree with the fast path on rows and accounting.
+				opts.NoBulkAggFastPath = true
+				litEng := cape.New(cfg)
+				lit := NewCastle(litEng, cat, opts).Run(p, s.db)
+				if !got.Equal(lit) {
+					t.Fatalf("literal loop differs on %q (cfg %v, plan %v)\nfast path:\n%s\nliteral loop:\n%s",
+						qsql, cfg, p, got.Format(s.db), lit.Format(s.db))
+				}
+				if d := statsMismatch(eng.Stats(), litEng.Stats()); d != "" {
+					t.Fatalf("fast path vs literal loop on %q (cfg %v, plan %v): %s", qsql, cfg, p, d)
 				}
 			}
 		})
