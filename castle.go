@@ -30,15 +30,20 @@ import (
 // prepared-plan cache. Queries may run concurrently (each execution gets
 // its own simulated engine); schema changes (CreateTable, ImportCSV,
 // column adds) must not race with in-flight queries, matching the usual
-// analytic contract of load-then-serve.
+// analytic contract of load-then-serve. A change stales only the
+// statistics of the table it touched: the next query recollects that
+// table and shares every other table's statistics with the previous
+// catalog.
 type DB struct {
 	store *storage.Database
 
-	// mu guards the lazily collected catalog and the mutation version so
-	// concurrent first-queries collect statistics exactly once.
-	mu      sync.Mutex
-	cat     *stats.Catalog
-	dirty   bool
+	// mu guards the lazily collected catalog, the stale-table set and the
+	// mutation version so concurrent first-queries collect statistics
+	// exactly once.
+	mu  sync.Mutex
+	cat *stats.Catalog
+	// stale names the tables changed since cat was collected.
+	stale   map[string]bool
 	version uint64
 	// statsEpoch counts catalog collections. Plans are priced from the
 	// histograms, so the plan cache's consistency token folds this in: a
@@ -50,7 +55,7 @@ type DB struct {
 }
 
 func newDB(store *storage.Database) *DB {
-	return &DB{store: store, dirty: true, plans: optimizer.NewPlanCache(0)}
+	return &DB{store: store, stale: make(map[string]bool), plans: optimizer.NewPlanCache(0)}
 }
 
 // New returns an empty database. Add tables with CreateTable, then query.
@@ -109,8 +114,9 @@ func (db *DB) Save(path string) error {
 // ImportCSV adds a relation from a CSV file with a header row; columns
 // whose values all parse as unsigned integers become integer columns, the
 // rest are dictionary-encoded strings. Importing under an existing name
-// replaces that relation: the mutation stales the statistics catalog and
-// every cached plan, so the next query re-plans against the new contents.
+// replaces that relation. The import stales that table's statistics and
+// every cached plan: the next query recollects statistics for this table
+// only and re-plans against the new contents.
 func (db *DB) ImportCSV(tableName, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -122,15 +128,15 @@ func (db *DB) ImportCSV(tableName, path string) error {
 		return err
 	}
 	db.store.Put(t)
-	db.mutate()
+	db.mutate(tableName)
 	return nil
 }
 
-// mutate records a schema or data change: catalog statistics are stale and
-// plans bound against the previous contents must not be reused.
-func (db *DB) mutate() {
+// mutate records a schema or data change to one table: its statistics are
+// stale and plans bound against the previous contents must not be reused.
+func (db *DB) mutate(table string) {
 	db.mu.Lock()
-	db.dirty = true
+	db.stale[table] = true
 	db.version++
 	db.mu.Unlock()
 }
@@ -153,21 +159,21 @@ type TableBuilder struct {
 func (db *DB) CreateTable(name string) *TableBuilder {
 	t := storage.NewTable(name)
 	db.store.Add(t)
-	db.mutate()
+	db.mutate(name)
 	return &TableBuilder{db: db, tbl: t}
 }
 
 // Int adds an integer column (32-bit, CAPE's native element size).
 func (b *TableBuilder) Int(name string, values []uint32) *TableBuilder {
 	b.tbl.AddIntColumn(name, values)
-	b.db.mutate()
+	b.db.mutate(b.tbl.Name)
 	return b
 }
 
 // String adds a dictionary-encoded string column.
 func (b *TableBuilder) String(name string, values []string) *TableBuilder {
 	b.tbl.AddStringColumn(name, values)
-	b.db.mutate()
+	b.db.mutate(b.tbl.Name)
 	return b
 }
 
@@ -190,29 +196,37 @@ func (db *DB) RowCount(table string) int {
 	return t.Rows()
 }
 
-// catalog lazily (re)collects statistics after schema changes. Safe under
-// concurrent QueryWith calls: the mutex makes the collect-once decision
-// atomic, so simultaneous first-queries share a single catalog.
+// catalog lazily collects statistics: every table on first use, then only
+// the tables changed since. Safe under concurrent QueryWith calls: the
+// mutex makes the collect-once decision atomic, so simultaneous
+// first-queries share a single catalog.
 func (db *DB) catalog() *stats.Catalog {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.dirty || db.cat == nil {
-		db.cat = stats.Collect(db.store)
-		db.dirty = false
-		db.statsEpoch++
+	if db.cat == nil || len(db.stale) > 0 {
+		db.recollect(db.cat)
 	}
 	return db.cat
 }
 
-// RefreshStats recollects the statistics catalog immediately and advances
-// the stats epoch, staling every cached plan: placements are priced from
-// the histograms, so a plan prepared against old statistics may pick the
-// wrong device for the data now present.
+// recollect replaces the catalog with one that shares prev's statistics
+// for every unchanged table (nil prev: none) and advances the stats epoch.
+// It builds a new catalog rather than editing prev, which in-flight
+// queries may still hold. Called with mu held.
+func (db *DB) recollect(prev *stats.Catalog) {
+	db.cat = stats.Update(prev, db.store, db.stale)
+	clear(db.stale)
+	db.statsEpoch++
+}
+
+// RefreshStats recollects statistics for every table immediately and
+// advances the stats epoch, staling every cached plan: placements are
+// priced from the histograms, so a plan prepared against old statistics
+// may pick the wrong device for the data now present.
 func (db *DB) RefreshStats() {
 	db.mu.Lock()
-	db.dirty = true
-	db.mu.Unlock()
-	db.catalog()
+	defer db.mu.Unlock()
+	db.recollect(nil)
 }
 
 // cacheToken derives the plan cache's consistency token from the mutation

@@ -4,7 +4,8 @@ package server
 // statement, GET /metrics exposes the shared Prometheus registry,
 // GET /healthz answers liveness probes, and GET /debug/queries exposes the
 // flight recorder (see debug.go). Admission outcomes map onto HTTP status
-// codes (429 shed, 503 draining, 504 deadline).
+// codes (429 shed, 503 draining, 504 deadline); a body over 1 MiB answers
+// 413.
 
 import (
 	"context"
@@ -18,6 +19,9 @@ import (
 type errorBody struct {
 	Error string `json:"error"`
 }
+
+// maxRequestBytes caps a POST /query body; a longer one answers 413.
+const maxRequestBytes = 1 << 20
 
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -65,10 +69,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	resp, err := s.Do(r.Context(), req)

@@ -677,3 +677,41 @@ WHERE lo_orderdate = d_datekey GROUP BY d_year`
 			resp.StatusCode, qr.Device, qr.RowCount)
 	}
 }
+
+// TestOversizedBodyAnswers413 posts a 2 MiB body: the service must answer
+// 413 with the JSON error envelope and keep serving.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	s := newTestServer(t, Config{QueueDepth: 16, CAPETiles: 1, CPUSlots: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	big := `{"sql":"SELECT ` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || eb.Error == "" {
+		t.Fatalf("2 MiB body = %d %+v (decode: %v), want 413 with an error body", resp.StatusCode, eb, decErr)
+	}
+
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after 413 = %d", resp.StatusCode)
+	}
+	body, _ := json.Marshal(Request{SQL: castle.SSBQueries()[0].SQL})
+	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query after 413 = %d", resp.StatusCode)
+	}
+}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -21,8 +20,11 @@ type Histogram struct {
 	Min uint32
 }
 
-// histogramSampleCap bounds the per-column sample used to build histograms
-// (statistics collection must stay cheap at ingestion time).
+// histogramSampleCap sets the sampling stride for histograms (statistics
+// collection must stay cheap at ingestion time). A column of up to the cap
+// rows is sorted whole. A longer column of n rows is sampled every n/cap
+// rows, rounded down, so its sample holds from cap to 2·cap−1 values: a
+// column of cap+1 to 2·cap−1 rows still has stride 1 and is sorted whole.
 const histogramSampleCap = 1 << 16
 
 // defaultBuckets is the histogram resolution.
@@ -32,23 +34,31 @@ const defaultBuckets = 32
 // the given number of buckets. Large columns are sampled with a fixed
 // stride. Returns nil for empty input.
 func BuildHistogram(data []uint32, buckets int) *Histogram {
+	var buf sampleBuf
+	return buf.histogram(data, buckets)
+}
+
+// sampleBuf holds the two buffers a histogram's sample is radix-sorted
+// between. A collect reuses one for every column it scans.
+type sampleBuf struct{ a, b []uint32 }
+
+// histogram is BuildHistogram with the sample in buf's buffers.
+func (buf *sampleBuf) histogram(data []uint32, buckets int) *Histogram {
 	if len(data) == 0 || buckets <= 0 {
 		return nil
 	}
-	sample := data
+	stride := 1
 	if len(data) > histogramSampleCap {
-		stride := len(data) / histogramSampleCap
-		sample = make([]uint32, 0, histogramSampleCap)
-		for i := 0; i < len(data); i += stride {
-			sample = append(sample, data[i])
-		}
-	} else {
-		sample = append([]uint32(nil), data...)
+		stride = len(data) / histogramSampleCap
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	n := (len(data) + stride - 1) / stride
+	buf.a, buf.b = grow(buf.a, n), grow(buf.b, n)
+	for i := range buf.a {
+		buf.a[i] = data[i*stride]
+	}
+	sample := radixSort(buf.a, buf.b)
 
 	h := &Histogram{Min: sample[0]}
-	n := len(sample)
 	per := n / buckets
 	if per < 1 {
 		per = 1
@@ -70,6 +80,47 @@ func BuildHistogram(data []uint32, buckets int) *Histogram {
 		start = end
 	}
 	return h
+}
+
+// radixSort sorts a with an LSD radix sort, one pass per byte, skipping
+// bytes every element shares. tmp is scratch of a's length; the sorted
+// values end up in whichever of the two the last pass wrote, which is
+// returned.
+func radixSort(a, tmp []uint32) []uint32 {
+	var counts [4][256]int
+	for _, x := range a {
+		counts[0][x&0xff]++
+		counts[1][x>>8&0xff]++
+		counts[2][x>>16&0xff]++
+		counts[3][x>>24]++
+	}
+	for b := range counts {
+		shift := 8 * b
+		c := &counts[b]
+		if len(a) == 0 || c[a[0]>>shift&0xff] == len(a) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, x := range a {
+			d := x >> shift & 0xff
+			tmp[c[d]] = x
+			c[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
+}
+
+// grow returns s resized to n elements, reallocating only when it must.
+func grow(s []uint32, n int) []uint32 {
+	if cap(s) < n {
+		return make([]uint32, n)
+	}
+	return s[:n]
 }
 
 // RangeFraction estimates the fraction of rows with lo <= value <= hi.

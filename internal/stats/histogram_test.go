@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,4 +141,82 @@ func TestQuickHistogramFullRange(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// referenceHistogram is BuildHistogram with the sample sorted by
+// slices.Sort: the definition the radix-sorted sample must reproduce.
+func referenceHistogram(data []uint32, buckets int) *Histogram {
+	if len(data) == 0 || buckets <= 0 {
+		return nil
+	}
+	stride := 1
+	if len(data) > histogramSampleCap {
+		stride = len(data) / histogramSampleCap
+	}
+	var sample []uint32
+	for i := 0; i < len(data); i += stride {
+		sample = append(sample, data[i])
+	}
+	slices.Sort(sample)
+	h := &Histogram{Min: sample[0]}
+	n := len(sample)
+	per := max(n/buckets, 1)
+	for start := 0; start < n; {
+		end := min(start+per, n)
+		for end < n && sample[end] == sample[end-1] {
+			end++
+		}
+		h.Bounds = append(h.Bounds, sample[end-1])
+		h.Fractions = append(h.Fractions, float64(end-start)/float64(n))
+		start = end
+	}
+	return h
+}
+
+// FuzzHistogramMatchesSort holds BuildHistogram, and a sample buffer left
+// over from a longer column, to referenceHistogram. raw holds little-endian
+// uint32 values. With n > 0 the column is n mod 3·cap rows long instead,
+// so short inputs reach the strided lengths past histogramSampleCap: it
+// cycles through at most four of the values and adds the lap number to
+// each. Using only four keeps the minimizer quick, since every value it
+// tries to drop costs a sort of the long column.
+func FuzzHistogramMatchesSort(f *testing.F) {
+	le := func(vals ...uint32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	spread := le(0xDEADBEEF, 7, 0x80000000, 0x00FF0000)
+	f.Add(uint32(0), le(), uint8(defaultBuckets))
+	f.Add(uint32(0), le(42), uint8(defaultBuckets))
+	f.Add(uint32(0), le(7, 7, 7, 7, 7), uint8(4))
+	f.Add(uint32(0), le(0, 0xFFFFFFFF, 0, 0xFFFFFFFF, 1), uint8(2))
+	f.Add(uint32(0), le(0x05000000, 0x01000000, 0xFF000000, 0x01000000, 0x80000000), uint8(3))
+	f.Add(uint32(histogramSampleCap+1), spread, uint8(defaultBuckets))
+	f.Add(uint32(2*histogramSampleCap), spread, uint8(defaultBuckets))
+	f.Fuzz(func(t *testing.T, n uint32, raw []byte, buckets uint8) {
+		vals := make([]uint32, len(raw)/4)
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		data := vals
+		if n > 0 && len(vals) > 0 {
+			lap := vals[:min(len(vals), 4)]
+			data = make([]uint32, n%(3*histogramSampleCap))
+			for i := range data {
+				data[i] = lap[i%len(lap)] + uint32(i/len(lap))
+			}
+		}
+		want := referenceHistogram(data, int(buckets))
+		if got := BuildHistogram(data, int(buckets)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BuildHistogram(%d values, %d) = %+v, want %+v", len(data), buckets, got, want)
+		}
+		var buf sampleBuf
+		buf.histogram(append([]uint32{0xFFFFFFFF, 0}, data...), int(buckets))
+		if got := buf.histogram(data, int(buckets)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused buffer: histogram(%d values, %d) = %+v, want %+v", len(data), buckets, got, want)
+		}
+	})
 }

@@ -36,21 +36,45 @@ type Catalog struct {
 
 // Collect scans the database and builds a statistics catalog.
 func Collect(db *storage.Database) *Catalog {
+	return Update(nil, db, nil)
+}
+
+// Update builds a catalog for db that shares prev's statistics for every
+// table not named in stale and collects the rest: the stale tables, and
+// any table prev has no statistics for. A nil prev collects every table.
+// A table's statistics depend only on its own contents, so the result
+// equals Collect(db). prev is left unchanged, so queries still holding it
+// can keep reading it.
+func Update(prev *Catalog, db *storage.Database, stale map[string]bool) *Catalog {
 	c := &Catalog{tables: make(map[string]*TableStats)}
+	var buf sampleBuf
 	for _, t := range db.Tables() {
-		ts := &TableStats{Rows: t.Rows(), Columns: make(map[string]ColumnStats)}
-		for _, col := range t.Columns() {
-			ts.Columns[col.Name] = ColumnStats{
-				Min:      col.Min,
-				Max:      col.Max,
-				Distinct: countDistinct(col.Data),
-				BitWidth: col.BitWidth(),
-				Hist:     BuildHistogram(col.Data, defaultBuckets),
-			}
+		var ts *TableStats
+		if prev != nil && !stale[t.Name] {
+			ts = prev.tables[t.Name]
+		}
+		if ts == nil {
+			ts = collectTable(t, &buf)
 		}
 		c.tables[t.Name] = ts
 	}
 	return c
+}
+
+// collectTable scans one relation; buf is the histogram sample scratch
+// its columns share.
+func collectTable(t *storage.Table, buf *sampleBuf) *TableStats {
+	ts := &TableStats{Rows: t.Rows(), Columns: make(map[string]ColumnStats)}
+	for _, col := range t.Columns() {
+		ts.Columns[col.Name] = ColumnStats{
+			Min:      col.Min,
+			Max:      col.Max,
+			Distinct: countDistinct(col.Data),
+			BitWidth: col.BitWidth(),
+			Hist:     buf.histogram(col.Data, defaultBuckets),
+		}
+	}
+	return ts
 }
 
 // countDistinct counts distinct values — exactly for small columns, with

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"castle/internal/ssb"
 	"castle/internal/storage"
 )
 
@@ -148,5 +149,18 @@ func TestQuickDistinctExact(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var sinkCatalog *Catalog
+
+// BenchmarkCollectSSB times a full collect of SSB at SF 0.02 and, with
+// -benchmem, the bytes it allocates.
+func BenchmarkCollectSSB(b *testing.B) {
+	db := ssb.Generate(ssb.Config{SF: 0.02, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCatalog = Collect(db)
 	}
 }
