@@ -12,18 +12,14 @@ package castle_test
 // cmd/experiments reproduces the SF 1 numbers recorded in EXPERIMENTS.md.
 
 import (
-	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	castle "castle"
 	"castle/internal/cape/micro"
 	"castle/internal/experiments"
 	"castle/internal/isa"
 	"castle/internal/optimizer"
 	"castle/internal/plan"
-	"castle/internal/server"
 )
 
 const benchSF = 0.02
@@ -290,36 +286,4 @@ func BenchmarkReferenceCodebases(b *testing.B) {
 		c = r.RunCodebaseComparison()
 	}
 	b.ReportMetric(c.Ratio(), "scalar/avx512-x")
-}
-
-// BenchmarkServerThroughput drives the query service with concurrent
-// clients issuing mixed SSB statements through the full serving path
-// (admission queue, hybrid routing, device scheduler, plan cache). Each
-// iteration is one served request; ns/op is the inverse of sustained
-// throughput at the configured parallelism.
-func BenchmarkServerThroughput(b *testing.B) {
-	db := castle.GenerateSSB(benchSF, 1)
-	svc, err := server.New(db, nil, server.Config{QueueDepth: 1024, CAPETiles: 2, CPUSlots: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	queries := castle.SSBQueries()
-	var n int64
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			q := queries[int(atomic.AddInt64(&n, 1))%len(queries)]
-			if _, err := svc.Do(context.Background(), server.Request{SQL: q.SQL}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	st := db.PlanCacheStats()
-	if total := st.Hits + st.Misses; total > 0 {
-		b.ReportMetric(float64(st.Hits)/float64(total), "plan-cache-hit-ratio")
-	}
 }

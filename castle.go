@@ -368,8 +368,6 @@ type Options struct {
 	DisableEnhancements bool
 	// DisableFusion turns off operator fusion (§7.4 ablation).
 	DisableFusion bool
-	// MKSBufferBytes overrides the vmks buffer (0 = 512, the cacheline).
-	MKSBufferBytes int
 	// DisablePlanCache bypasses the prepared-plan cache for this query:
 	// the statement is parsed, bound and optimized from scratch and the
 	// result is not cached.
@@ -399,10 +397,6 @@ type Options struct {
 	// stage's survivors (the checkpoint needs the complete count), so
 	// Streaming is ignored when this is set.
 	AdaptivePlacement bool
-	// AdaptiveThreshold overrides the checkpoint's symmetric divergence
-	// ratio (<= 0 selects the default, 2.0: the observation must be off by
-	// more than 2x in either direction to trigger a re-plan).
-	AdaptiveThreshold float64
 	// ScanSharing allows QueryGroupContext to fuse eligible same-fact
 	// members into one shared fact sweep (one scan, N predicate sets).
 	// Member results are bit-identical to solo execution; only the scan
@@ -570,9 +564,6 @@ func capeConfig(opt Options) cape.Config {
 	}
 	if opt.MAXVL > 0 {
 		cfg.MAXVL = opt.MAXVL
-	}
-	if opt.MKSBufferBytes > 0 {
-		cfg.MKSBufferBytes = opt.MKSBufferBytes
 	}
 	return cfg
 }
@@ -761,7 +752,6 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 		// observed-source estimates the breakdown attaches below.
 		ro.Adaptive = &exec.AdaptiveOptions{
 			EstSurvivors: c.pp.EstSurvivors,
-			Threshold:    opt.AdaptiveThreshold,
 			Replan: func(observed int64) plan.Device {
 				pred, _ = optimizer.ReplaceTail(c.pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
 				return pred.AggDevice()

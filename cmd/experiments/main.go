@@ -6,6 +6,7 @@
 //	experiments -sf 0.1 -run fig6,fig10
 //	experiments -run table1,table2,fig5          # no data generation needed
 //	experiments -sf 0.005 -diff 50               # differential fuzz campaign
+//	experiments -sf 0.01 -bench-json bench.json  # deterministic cycle report
 //
 // Available experiments: suite, fig1, fig5, fig6, fig7, fig10, fig11,
 // fig12, selection, mks, datamovement, fusion, aba, codebases, power,
@@ -26,9 +27,7 @@ func main() {
 	sf := flag.Float64("sf", 1.0, "SSB scale factor (SF 1 = 6M-row lineorder, the paper's setting)")
 	runList := flag.String("run", "all", "comma-separated experiments to run")
 	quick := flag.Bool("quick", false, "shrink microbenchmark sweeps for a fast pass")
-	benchJSON := flag.String("bench-json", "", "write a benchmark report (geomean, per-query cycles, K=1..4 scaling, server latency) as JSON to this path and exit")
-	benchBaseline := flag.String("bench-baseline", "", "with -bench-json: compare the run's geomean speedup against this committed baseline report; nonzero exit on regression beyond -bench-tolerance")
-	benchTol := flag.Float64("bench-tolerance", 0.02, "fractional geomean regression allowed by -bench-baseline (0.02 = 2%)")
+	benchJSON := flag.String("bench-json", "", "write the benchmark report (geomean, per-query cycles, scaling, cluster, streaming, misestimate and adaptive curves) as JSON to this path and exit")
 	diffN := flag.Int("diff", 0, "run a differential fuzz campaign of N random queries (reference vs CAPE vs CPU at K=1,4) and exit; nonzero exit on any mismatch")
 	diffSeed := flag.Int64("diff-seed", 1, "base query seed for -diff (queries use seeds base..base+N-1)")
 	diffOut := flag.String("diff-out", "DIFF_REPRO.txt", "where -diff writes the shrunk reproducer on failure")
@@ -40,7 +39,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		fmt.Printf("benchmarking at SF=%.2f (suite + scaling curve + server load)...\n", *sf)
+		fmt.Printf("benchmarking at SF=%.2f (suite + scaling, cluster, streaming, misestimate and adaptive curves)...\n", *sf)
 		rep := experiments.RunBench(*sf)
 		f, err := os.Create(*benchJSON)
 		if err != nil {
@@ -55,27 +54,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchJSON, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (geomean speedup %.2fx; server p50=%dus p99=%dus)\n",
-			*benchJSON, rep.GeomeanSpeedup, rep.Server.P50Micros, rep.Server.P99Micros)
-		if *benchBaseline != "" {
-			bf, err := os.Open(*benchBaseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			base, err := experiments.ReadBenchJSON(bf)
-			bf.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rep.CompareGeomean(base, *benchTol); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("geomean within %.1f%% of baseline %s (%.2fx vs %.2fx)\n",
-				*benchTol*100, *benchBaseline, rep.GeomeanSpeedup, base.GeomeanSpeedup)
-		}
+		fmt.Printf("wrote %s (geomean speedup %.2fx)\n", *benchJSON, rep.GeomeanSpeedup)
 		return
 	}
 

@@ -168,9 +168,6 @@ func (c *CPU) Seconds() float64 { return c.cycles / c.cfg.ClockHz }
 // cannot flip which core is critical.
 func (c *CPU) RawCycles() float64 { return c.cycles }
 
-// ResetCycles clears the cycle counter.
-func (c *CPU) ResetCycles() { c.cycles = 0 }
-
 // Fork clones the CPU into k sibling cores for a morsel-parallel sweep on
 // the same socket. Each clone gets an independent cycle counter and memory
 // traffic accounting but no hook (per-core telemetry closures are not

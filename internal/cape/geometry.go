@@ -36,10 +36,6 @@ func (g Geometry) Subarrays() int { return g.Chains * g.SubarraysPerChain }
 // SubarrayBits returns one subarray's capacity in bits.
 func (g Geometry) SubarrayBits() int { return g.SubarrayRows * g.SubarrayCols }
 
-// BitsPerChainRegister returns the bits a chain stores for one vector
-// register (its 32 elements x 32 bits).
-func (g Geometry) BitsPerChainRegister() int { return g.SubarrayRows * 32 }
-
 // CapacityBytes returns the CSB capacity implied by the geometry when all
 // subarrays store register data. In GP mode the 32 subarrays of a chain
 // collectively hold bit-planes for the chain's 32 elements across all 32

@@ -33,10 +33,6 @@ type AdaptiveOptions struct {
 	// EstSurvivors is the planner's fact-stage survivor estimate the
 	// checkpoint compares against (plan.PlacedPlan.EstSurvivors).
 	EstSurvivors int64
-	// Threshold is the symmetric divergence ratio that triggers a re-plan
-	// (<= 0 selects DefaultAdaptiveThreshold). A ratio, not a percentage:
-	// 2 fires when estimate and observation disagree by more than 2x.
-	Threshold float64
 	// Replan maps the observed survivor count to the aggregation tail's
 	// device — typically a closure over optimizer.ReplaceTail. Nil keeps
 	// the planned tail device (checkpoint fires are still reported).
@@ -83,15 +79,11 @@ func (st *AdaptiveStats) checkpoint(opts AdaptiveOptions, q *plan.Query, ships [
 	for _, b := range ships {
 		st.Observed += int64(len(b.Rows))
 	}
-	threshold := opts.Threshold
-	if threshold <= 0 {
-		threshold = DefaultAdaptiveThreshold
-	}
 	var defined bool
 	st.DivergencePct, defined = telemetry.DivergencePct(st.EstSurvivors, st.Observed)
 	// A zero-vs-nonzero split has no finite ratio but is by definition a
 	// gross misestimate: it always fires.
-	st.Fired = !defined || st.DivergencePct > 100*threshold
+	st.Fired = !defined || st.DivergencePct > 100*DefaultAdaptiveThreshold
 	tail := planned
 	if st.Fired && opts.Replan != nil {
 		tail = opts.Replan(st.Observed)

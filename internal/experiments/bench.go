@@ -1,9 +1,12 @@
 package experiments
 
-// bench.go produces the machine-readable benchmark artifact CI archives on
-// every run (BENCH_PR3.json): the waterfall geomean, per-query cycle
-// counts, a K=1..4 morsel-parallel scaling curve for both devices, and the
-// serving layer's latency distribution under concurrent load.
+// bench.go produces the machine-readable benchmark report: the waterfall
+// geomean, per-query cycle counts, a K=1..4 morsel-parallel scaling curve
+// for both devices, the cluster scale-out curve, streaming against
+// materializing, the estimator's misestimate summary and the adaptive
+// curve. Every number is a simulated cycle count or derived from one, so
+// the report is deterministic: TestBenchReportGolden pins it byte for byte
+// at SF 0.01 (testdata/bench_sf0.01.json). Host time is castlebench's job.
 
 import (
 	"context"
@@ -11,18 +14,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
-	"time"
 
-	"castle"
 	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/cluster"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
 	"castle/internal/plan"
-	"castle/internal/server"
 )
 
 // BenchScalingMAXVL is the CAPE vector length used for the scaling curve.
@@ -44,11 +42,6 @@ type BenchReport struct {
 	// static-vs-checkpoint curve per SSB query.
 	Misestimates []MisestimateModel `json:"misestimates"`
 	Adaptive     []AdaptivePoint    `json:"adaptive"`
-	Server       ServerBench        `json:"server"`
-	// SharedServing contrasts the same skewed multi-tenant offered load with
-	// scan sharing off and on: p50/p99 under identical arrivals plus the
-	// fraction of answers served by fused groups.
-	SharedServing []SharedServingPoint `json:"shared_serving"`
 }
 
 // BenchQuery is one SSB query's cycle accounting.
@@ -105,22 +98,6 @@ type StreamingPoint struct {
 	Speedup            float64 `json:"speedup"` // materialized / streamed
 }
 
-// ServerBench is the serving-layer load result. Beyond the end-to-end
-// latency distribution it reports server-side attribution: mean
-// microseconds per request spent in each lifecycle phase
-// (queue/lease/exec/serialize, from Response.TimingsMicros).
-type ServerBench struct {
-	Clients             int     `json:"clients"`
-	Requests            int     `json:"requests"`
-	P50Micros           int64   `json:"p50_micros"`
-	P99Micros           int64   `json:"p99_micros"`
-	Throughput          float64 `json:"throughput_rps"`
-	QueueMeanMicros     int64   `json:"queue_mean_micros"`
-	LeaseMeanMicros     int64   `json:"lease_mean_micros"`
-	ExecMeanMicros      int64   `json:"exec_mean_micros"`
-	SerializeMeanMicros int64   `json:"serialize_mean_micros"`
-}
-
 // RunBench assembles the full benchmark report at one scale factor.
 func RunBench(sf float64) *BenchReport {
 	r := NewRunner(sf)
@@ -144,8 +121,6 @@ func RunBench(sf float64) *BenchReport {
 	rep.Streaming = r.StreamingCurve([]int{1, 2})
 	rep.Misestimates = r.MisestimateSummary()
 	rep.Adaptive = RunAdaptiveCurve(sf)
-	rep.Server = RunServerBench(sf, 8, 104)
-	rep.SharedServing = RunMixedTenantBench(sf, 8, 250, 4*time.Second)
 	return rep
 }
 
@@ -306,232 +281,11 @@ func (r *Runner) runScaled(device string, num, k int) (int64, int64) {
 	return eng.Stats().TotalCycles(), cas.ParallelStats().WorkCycles
 }
 
-// RunServerBench drives the full serving path (admission queue, hybrid
-// routing, elastic device leases, plan cache) with nClients concurrent
-// clients issuing total requests, and reports the latency distribution.
-func RunServerBench(sf float64, nClients, total int) ServerBench {
-	db := castle.GenerateSSB(sf, 1)
-	svc, err := server.New(db, nil, server.Config{
-		QueueDepth: 1024, CAPETiles: 2, CPUSlots: 2, MaxTilesPerQuery: 2,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer svc.Close()
-
-	queries := castle.SSBQueries()
-	lat := make([]int64, total)
-	timings := make([]server.Timings, total)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < nClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < total; i += nClients {
-				q := queries[i%len(queries)]
-				t0 := time.Now()
-				resp, err := svc.Do(context.Background(), server.Request{SQL: q.SQL})
-				if err != nil {
-					panic(fmt.Sprintf("experiments: server bench request: %v", err))
-				}
-				lat[i] = time.Since(t0).Microseconds()
-				timings[i] = resp.TimingsMicros
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var sum server.Timings
-	for _, tm := range timings {
-		sum.QueueMicros += tm.QueueMicros
-		sum.LeaseMicros += tm.LeaseMicros
-		sum.ExecMicros += tm.ExecMicros
-		sum.SerializeMicros += tm.SerializeMicros
-	}
-	n := int64(total)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 { return lat[int(p*float64(len(lat)-1))] }
-	return ServerBench{
-		Clients:             nClients,
-		Requests:            total,
-		P50Micros:           pct(0.50),
-		P99Micros:           pct(0.99),
-		Throughput:          float64(total) / elapsed.Seconds(),
-		QueueMeanMicros:     sum.QueueMicros / n,
-		LeaseMeanMicros:     sum.LeaseMicros / n,
-		ExecMeanMicros:      sum.ExecMicros / n,
-		SerializeMeanMicros: sum.SerializeMicros / n,
-	}
-}
-
-// SharedServingPoint is one mode of the mixed-tenant comparison: the same
-// skewed arrival process with scan sharing off or on.
-type SharedServingPoint struct {
-	Sharing              bool    `json:"sharing"`
-	CoalesceWindowMicros int64   `json:"coalesce_window_micros"`
-	Clients              int     `json:"clients"`
-	OfferedRPS           float64 `json:"offered_rps"`
-	AchievedRPS          float64 `json:"achieved_rps"`
-	OK                   int     `json:"ok"`
-	Shed                 int     `json:"shed"`
-	P50Micros            int64   `json:"p50_micros"`
-	P99Micros            int64   `json:"p99_micros"`
-	// SharedHitRate is the fraction of successful answers served by a fused
-	// shared-scan group (0 when sharing is off).
-	SharedHitRate float64 `json:"shared_hit_rate"`
-}
-
-// RunMixedTenantBench offers the same skewed multi-tenant workload twice —
-// scan sharing disabled, then enabled with a 2ms coalescing window — at a
-// fixed open-loop rate, and reports both latency distributions side by
-// side. Hot dashboard fingerprints dominate arrivals (the regime the
-// coalescer exists for); the full SSB tail fills the rest.
-func RunMixedTenantBench(sf float64, nClients int, rate float64, dur time.Duration) []SharedServingPoint {
-	db := castle.GenerateSSB(sf, 1)
-	queries := castle.SSBQueries()
-	weights := make([]int, len(queries))
-	for i := range weights {
-		weights[i] = 1
-	}
-	weights[3], weights[8], weights[0] = 8, 6, 4
-	var pick []int
-	for qi, w := range weights {
-		for j := 0; j < w; j++ {
-			pick = append(pick, qi)
-		}
-	}
-	interval := time.Duration(float64(nClients) / rate * float64(time.Second))
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-
-	var out []SharedServingPoint
-	for _, sharing := range []bool{false, true} {
-		window := 2 * time.Millisecond
-		svc, err := server.New(db, nil, server.Config{
-			QueueDepth: 1024, CAPETiles: 2, CPUSlots: 2, MaxTilesPerQuery: 2,
-			ScanSharing: sharing, CoalesceWindow: window, MaxGroupSize: 8,
-		})
-		if err != nil {
-			panic(err)
-		}
-
-		type tally struct {
-			ok, shed, shared int
-			lat              []int64
-		}
-		tallies := make([]tally, nClients)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < nClients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				deadline := start.Add(dur)
-				for seq := 0; time.Now().Before(deadline); seq++ {
-					q := queries[pick[(c*7919+seq*104729)%len(pick)]]
-					t0 := time.Now()
-					resp, err := svc.Do(context.Background(), server.Request{SQL: q.SQL})
-					tl := &tallies[c]
-					if err != nil {
-						// At fixed offered load a shed is an outcome to
-						// count, not a bench failure.
-						tl.shed++
-					} else {
-						tl.ok++
-						tl.lat = append(tl.lat, time.Since(t0).Microseconds())
-						if resp.GroupSize > 1 {
-							tl.shared++
-						}
-					}
-					select {
-					case <-tick.C:
-					default:
-						<-tick.C // behind schedule: fire immediately
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if err := svc.Close(); err != nil {
-			panic(err)
-		}
-
-		var all tally
-		for _, tl := range tallies {
-			all.ok += tl.ok
-			all.shed += tl.shed
-			all.shared += tl.shared
-			all.lat = append(all.lat, tl.lat...)
-		}
-		sort.Slice(all.lat, func(i, j int) bool { return all.lat[i] < all.lat[j] })
-		pct := func(p float64) int64 {
-			if len(all.lat) == 0 {
-				return 0
-			}
-			return all.lat[int(p*float64(len(all.lat)-1))]
-		}
-		pt := SharedServingPoint{
-			Sharing:     sharing,
-			Clients:     nClients,
-			OfferedRPS:  rate,
-			AchievedRPS: float64(all.ok) / elapsed.Seconds(),
-			OK:          all.ok,
-			Shed:        all.shed,
-			P50Micros:   pct(0.50),
-			P99Micros:   pct(0.99),
-		}
-		if sharing {
-			pt.CoalesceWindowMicros = window.Microseconds()
-		}
-		if all.ok > 0 {
-			pt.SharedHitRate = float64(all.shared) / float64(all.ok)
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
 // WriteBenchJSON renders the report as indented JSON.
 func (rep *BenchReport) WriteBenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// ReadBenchJSON parses a benchmark artifact previously written by
-// WriteBenchJSON (e.g. a committed baseline).
-func ReadBenchJSON(r io.Reader) (*BenchReport, error) {
-	var rep BenchReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("bench baseline: %w", err)
-	}
-	return &rep, nil
-}
-
-// CompareGeomean gates rep against a committed baseline: it returns an
-// error when the waterfall geomean speedup regressed by more than tol
-// (fractional, 0.02 = 2%). Improvements and within-tolerance noise pass.
-// Both reports must be at the same scale factor — cycle counts are not
-// comparable across SF.
-func (rep *BenchReport) CompareGeomean(base *BenchReport, tol float64) error {
-	if base.SF != rep.SF {
-		return fmt.Errorf("bench baseline: SF mismatch (baseline %.3f vs run %.3f)", base.SF, rep.SF)
-	}
-	if base.GeomeanSpeedup <= 0 {
-		return fmt.Errorf("bench baseline: geomean %.4f is not positive", base.GeomeanSpeedup)
-	}
-	floor := base.GeomeanSpeedup * (1 - tol)
-	if rep.GeomeanSpeedup < floor {
-		return fmt.Errorf("geomean speedup regressed: %.3fx vs baseline %.3fx (floor %.3fx at %.1f%% tolerance)",
-			rep.GeomeanSpeedup, base.GeomeanSpeedup, floor, tol*100)
-	}
-	return nil
 }
 
 // geomeanF is the geometric mean of positive values.

@@ -137,13 +137,6 @@ func EdgeSearches(q *plan.Query, est Estimator, maxvl int, joins []plan.JoinEdge
 	return out
 }
 
-// EstimateGroups predicts the number of result groups: the product of the
-// group columns' distinct counts, capped by the fact cardinality.
-func EstimateGroups(q *plan.Query, cat *stats.Catalog) int {
-	g, _ := cat.GroupCardinality(q.Fact, q.GroupBy)
-	return g
-}
-
 // placeCtx carries the shared cardinality estimates one placement search
 // needs: the per-edge search counts, survivor estimates, and column counts
 // every candidate placement re-prices.

@@ -162,17 +162,6 @@ func (c *PlanCache) Put(key string, version uint64, p CachedPlan) {
 	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, plan: p})
 }
 
-// Purge drops every entry (statistics are preserved).
-func (c *PlanCache) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.byKey = make(map[string]*list.Element)
-}
-
 // Stats snapshots the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
 	if c == nil {

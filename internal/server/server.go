@@ -486,7 +486,12 @@ func (s *Server) do(ctx context.Context, req Request, start time.Time) (*Respons
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+		// Cap in milliseconds before converting: past ~292 years the
+		// product overflows time.Duration and wraps negative.
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMillis < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -287,6 +288,11 @@ func TestServerRequestTimeout(t *testing.T) {
 	release()
 	if _, err := s.Do(context.Background(), Request{SQL: castle.SSBQueries()[0].SQL}); err != nil {
 		t.Fatalf("post-timeout request: %v", err)
+	}
+	// A huge deadline runs under the MaxTimeout cap; it must not overflow
+	// time.Duration into an already-expired one.
+	if _, err := s.Do(context.Background(), Request{SQL: castle.SSBQueries()[0].SQL, TimeoutMillis: math.MaxInt64}); err != nil {
+		t.Fatalf("timeout_ms=MaxInt64: %v", err)
 	}
 }
 

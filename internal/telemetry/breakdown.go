@@ -144,18 +144,6 @@ func (b *Breakdown) ApplyEstimateCells(est map[string]EstimateCell) int {
 	return matched
 }
 
-// SumEstCycles sums the attached per-operator predictions.
-func (b *Breakdown) SumEstCycles() int64 {
-	if b == nil {
-		return 0
-	}
-	var n int64
-	for _, o := range b.Operators {
-		n += o.EstCycles
-	}
-	return n
-}
-
 // Format renders the aligned EXPLAIN ANALYZE table:
 //
 //	operator           cycles      share    rows
