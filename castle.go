@@ -8,7 +8,6 @@ package castle
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -378,6 +377,7 @@ type Options struct {
 	// the partial aggregates deterministically, so results are bit-identical
 	// to serial execution. The value is clamped to the available morsels;
 	// it does not affect plan-cache identity. Negative values are rejected.
+	// Stmt.Run takes the fan-out per run instead.
 	Parallelism int
 	// Streaming runs the pull-based batch pipeline: operators exchange
 	// MAXVL-sized batches instead of materializing whole intermediates, and
@@ -397,17 +397,37 @@ type Options struct {
 	// stage's survivors (the checkpoint needs the complete count), so
 	// Streaming is ignored when this is set.
 	AdaptivePlacement bool
-	// ScanSharing allows QueryGroupContext to fuse eligible same-fact
-	// members into one shared fact sweep (one scan, N predicate sets).
-	// Member results are bit-identical to solo execution; only the scan
-	// stream is charged once and attributed pro-rata. Ignored by the
-	// single-query entry points.
+	// ScanSharing lets QueryGroupContext fuse the statement with other
+	// eligible same-fact members into one shared fact sweep (one scan, N
+	// predicate sets). Member results are bit-identical to solo execution;
+	// only the scan stream is charged once and attributed pro-rata. Ignored
+	// by the single-query entry points.
 	ScanSharing bool
 	// Telemetry, when non-nil, records the query lifecycle: a span tree
 	// (query → parse/bind/optimize/execute → per-operator) into its trace
 	// recorder and cycle/row counters into its metrics registry. Nil costs
 	// nothing.
 	Telemetry *Telemetry
+}
+
+// perOperator reports whether the optimizer places each operator on its
+// own device.
+func (o Options) perOperator() bool {
+	return o.Device == DeviceHybrid && o.Placement == PlacementPerOperator
+}
+
+// validate rejects option values no execution path accepts.
+func (o Options) validate() error {
+	if err := o.Device.validate(); err != nil {
+		return err
+	}
+	if err := o.Placement.validate(); err != nil {
+		return err
+	}
+	if o.Parallelism < 0 {
+		return fmt.Errorf("castle: negative Parallelism %d", o.Parallelism)
+	}
+	return nil
 }
 
 // Telemetry bundles a span recorder and a metrics registry. Create one with
@@ -568,66 +588,85 @@ func capeConfig(opt Options) cape.Config {
 	return cfg
 }
 
-// prepare parses, binds and (for paths that reach the optimizer) optimizes
-// a statement, consulting the prepared-plan cache first. On a hit the
-// parse/bind/optimize spans are skipped entirely and the root span is
-// stamped plan_cache=hit.
-func (db *DB) prepare(qs *telemetry.Span, sqlText string, opt Options, maxvl int) (optimizer.CachedPlan, error) {
-	deviceClass := "cape"
-	shapeForced := opt.Shape != ShapeAuto
-	needPhys := opt.Device != DeviceCPU
-	if !needPhys {
-		// CPU preparations stop at binding: the key ignores optimizer
-		// inputs so cpu entries don't fragment by vector length or shape.
-		deviceClass, maxvl, shapeForced = "cpu", 0, false
+// Prepare compiles a statement once under opt: it validates the options,
+// parses, binds and optimizes through the prepared-plan cache (one lookup;
+// a hit skips all three), resolves hybrid routing and places the plan on
+// its devices. The returned Stmt tells a scheduler which engine to lease
+// (Device) and which table it sweeps (Fact) before anything runs. A failed
+// preparation leaves a flight record on opt.Telemetry.
+func (db *DB) Prepare(sqlText string, opt Options) (*Stmt, error) {
+	start := time.Now()
+	err := opt.validate()
+	var stmt *Stmt
+	if err == nil {
+		sp := opt.Telemetry.StartSpan("prepare")
+		stmt, err = db.prepare(sp, sqlText, opt)
+		sp.End()
 	}
-	key := optimizer.Fingerprint(sqlText, deviceClass, maxvl, internalShape(opt.Shape), shapeForced)
-	// Collect statistics before deriving the token: optimization below
-	// consults the catalog anyway, and collecting first keeps the epoch
-	// stable between the Get and the Put.
-	db.catalog()
+	if err != nil {
+		opt.Telemetry.RecordFailure(sqlText, start, err)
+		return nil, err
+	}
+	return stmt, nil
+}
+
+// prepare compiles a statement for valid options, consulting the
+// prepared-plan cache first. On a hit the parse/bind/optimize spans are
+// skipped entirely and the parent span is stamped plan_cache=hit.
+func (db *DB) prepare(parent *telemetry.Span, sqlText string, opt Options) (*Stmt, error) {
+	if opt.Device == DeviceCPU {
+		// The CPU runs no plan shape: forced CPU plans the optimizer's own
+		// choice and shares its cache entry with the auto-shape devices.
+		opt.Shape = ShapeAuto
+	}
+	cfg := capeConfig(opt)
+	shapeForced := opt.Shape != ShapeAuto
+	key := optimizer.Fingerprint(sqlText, "optimized", cfg.MAXVL, internalShape(opt.Shape), shapeForced)
+	// Collect statistics before deriving the token, so the epoch stays put
+	// between the Get and the Put. The statement plans and runs against
+	// this catalog.
+	cat := db.catalog()
 	version := db.cacheToken()
+	stmt := &Stmt{db: db, sql: sqlText, opt: opt, cfg: cfg, cat: cat}
 	if !opt.DisablePlanCache {
 		if cp, ok := db.plans.Get(key, version); ok {
-			qs.SetStr("plan_cache", "hit")
+			parent.SetStr("plan_cache", "hit")
 			db.countPlanCache(opt.Telemetry, true)
-			return cp, nil
+			stmt.pp = place(cp.Phys, cat, cfg, opt)
+			return stmt, nil
 		}
 	}
 
-	sp := qs.Child("parse")
-	stmt, err := sql.Parse(sqlText)
+	sp := parent.Child("parse")
+	parsed, err := sql.Parse(sqlText)
 	sp.End()
 	if err != nil {
-		return optimizer.CachedPlan{}, err
+		return nil, err
 	}
-	sp = qs.Child("bind")
-	bound, err := plan.Bind(stmt, db.store)
+	sp = parent.Child("bind")
+	bound, err := plan.Bind(parsed, db.store)
 	sp.End()
 	if err != nil {
-		return optimizer.CachedPlan{}, err
+		return nil, err
 	}
-	cp := optimizer.CachedPlan{Bound: bound}
-	if needPhys {
-		sp = qs.Child("optimize")
-		var phys *plan.Physical
-		if opt.Shape == ShapeAuto {
-			phys, err = optimizer.OptimizeTraced(bound, db.catalog(), maxvl, sp)
-		} else {
-			phys, err = optimizer.BestWithShapeTraced(bound, db.catalog(), maxvl, internalShape(opt.Shape), sp)
-		}
-		sp.End()
-		if err != nil {
-			return optimizer.CachedPlan{}, err
-		}
-		cp.Phys = phys
+	sp = parent.Child("optimize")
+	var phys *plan.Physical
+	if shapeForced {
+		phys, err = optimizer.BestWithShapeTraced(bound, cat, cfg.MAXVL, internalShape(opt.Shape), sp)
+	} else {
+		phys, err = optimizer.OptimizeTraced(bound, cat, cfg.MAXVL, sp)
+	}
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
 	if !opt.DisablePlanCache {
-		db.plans.Put(key, version, cp)
-		qs.SetStr("plan_cache", "miss")
+		db.plans.Put(key, version, optimizer.CachedPlan{Bound: bound, Phys: phys})
+		parent.SetStr("plan_cache", "miss")
 		db.countPlanCache(opt.Telemetry, false)
 	}
-	return cp, nil
+	stmt.pp = place(phys, cat, cfg, opt)
+	return stmt, nil
 }
 
 // countPlanCache records a plan-cache outcome on the query's metrics
@@ -649,70 +688,67 @@ type PlanCacheStats = optimizer.PlanCacheStats
 // PlanCacheStats snapshots the prepared-plan cache counters.
 func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.Stats() }
 
-// Route resolves the concrete device a query would execute on under opt:
-// DeviceCAPE and DeviceCPU return themselves; DeviceHybrid consults the
-// §7.2 crossover heuristics against the optimized plan. Preparation goes
-// through the plan cache, so routing an already-seen statement costs one
-// cache lookup — cheap enough for a scheduler to call per request before
-// committing an execution resource.
-func (db *DB) Route(sqlText string, opt Options) (Device, error) {
-	if err := opt.Device.validate(); err != nil {
-		return 0, err
-	}
-	if opt.Device != DeviceHybrid {
-		return opt.Device, nil
-	}
-	cfg := capeConfig(opt)
-	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
-	if err != nil {
-		return 0, err
-	}
-	if exec.DecideDevice(cp.Phys, db.catalog(), cfg, 0, 0) == exec.DeviceCPU {
-		return DeviceCPU, nil
-	}
-	return DeviceCAPE, nil
-}
-
 // QueryContext executes SQL with explicit options under a context: a
 // canceled or expired ctx stops the simulated work at the next operator
 // boundary and returns ctx.Err(). The database stays fully usable after a
-// cancellation (each execution runs on its own simulated engine).
+// cancellation (each execution runs on its own simulated engine). It is
+// Prepare and Run under one "query" span and one flight record.
 func (db *DB) QueryContext(ctx context.Context, sqlText string, opt Options) (*Rows, *Metrics, error) {
-	start := time.Now()
-	rows, m, err := db.queryContext(ctx, sqlText, opt, start)
-	if err != nil && opt.Telemetry != nil {
-		// Failed executions still leave a flight record, so /debug/queries
-		// shows what was asked and how long the attempt ran before failing.
-		status := "error"
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = "deadline"
-		case errors.Is(err, context.Canceled):
-			status = "canceled"
-		}
-		wall := time.Since(start).Microseconds()
-		opt.Telemetry.Flight().Record(telemetry.FlightRecord{
-			SQL:         sqlText,
-			Fingerprint: telemetry.FingerprintSQL(sqlText),
-			Start:       start,
-			WallMicros:  wall,
-			Status:      status,
-			Error:       err.Error(),
-			Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
-		})
-	}
-	return rows, m, err
+	return db.run(ctx, nil, sqlText, opt, opt.Parallelism)
 }
 
-func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, start time.Time) (*Rows, *Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
-		return nil, nil, err
+// Stmt is a statement compiled once by Prepare: parsed, bound, optimized
+// and placed under one set of Options, with hybrid routing resolved. A Stmt
+// may Run any number of times, concurrently: each Run executes on fresh
+// engines against the statistics the statement was prepared with, and
+// records its own flight record. Prepare again after a schema change, an
+// import or RefreshStats to plan against the new contents.
+type Stmt struct {
+	db  *DB
+	sql string
+	opt Options
+	cfg cape.Config
+	cat *stats.Catalog
+	// pp is the compiled plan. The cost model's annotations on it also
+	// price the breakdown's est column.
+	pp *plan.PlacedPlan
+}
+
+// Device is the engine the compiled plan's fact stage runs on — DeviceCAPE
+// or DeviceCPU, never DeviceHybrid. It is the resource to lease before Run.
+func (s *Stmt) Device() Device {
+	if s.pp.FactDevice() == plan.DeviceCPU {
+		return DeviceCPU
 	}
-	if err := opt.Placement.validate(); err != nil {
+	return DeviceCAPE
+}
+
+// Fact is the fact table the statement sweeps.
+func (s *Stmt) Fact() string { return s.pp.Phys.Query.Fact }
+
+// Run executes the statement with its fact sweep fanned out across
+// parallelism tiles or cores, in place of Options.Parallelism. Cancellation
+// behaves as in QueryContext, and a failed run leaves a flight record.
+func (s *Stmt) Run(ctx context.Context, parallelism int) (*Rows, *Metrics, error) {
+	return s.db.run(ctx, s, s.sql, s.opt, parallelism)
+}
+
+// run executes stmt — or, when stmt is nil, sqlText prepared under opt —
+// under one "query" span, and records the attempt's flight record whether
+// it succeeds or fails.
+func (db *DB) run(ctx context.Context, stmt *Stmt, sqlText string, opt Options, parallelism int) (rows *Rows, m *Metrics, err error) {
+	start := time.Now()
+	defer func() {
+		if err != nil {
+			// Failed executions still leave a flight record, so
+			// /debug/queries shows what was asked and how long the attempt
+			// ran before failing.
+			opt.Telemetry.RecordFailure(sqlText, start, err)
+		}
+	}()
+	opt.Parallelism = parallelism
+	if err := opt.validate(); err != nil {
 		return nil, nil, err
-	}
-	if opt.Parallelism < 0 {
-		return nil, nil, fmt.Errorf("castle: negative Parallelism %d", opt.Parallelism)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -723,45 +759,43 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 	tel := opt.Telemetry
 	qs := tel.StartSpan("query")
 	defer qs.End()
-
-	cfg := capeConfig(opt)
-	cp, err := db.prepare(qs, sqlText, opt, cfg.MAXVL)
-	if err != nil {
-		return nil, nil, err
-	}
-	prepEnd := time.Now()
-	cat := db.catalog()
-	c, err := compile(cp, cat, cfg, opt)
-	if err != nil {
-		return nil, nil, err
+	phases := []string{"execute"}
+	var ends []time.Time
+	if stmt == nil {
+		if stmt, err = db.prepare(qs, sqlText, opt); err != nil {
+			return nil, nil, err
+		}
+		phases, ends = []string{"prepare", "execute"}, []time.Time{time.Now()}
 	}
 
+	pp, cat, cfg := stmt.pp, stmt.cat, stmt.cfg
+	perOperator := opt.perOperator()
 	ro := exec.RunOptions{
 		CAPE:        cfg,
 		Catalog:     cat,
 		Fusion:      !opt.DisableFusion,
-		Parallelism: opt.Parallelism,
+		Parallelism: parallelism,
 		Streaming:   opt.Streaming,
 		Telemetry:   tel,
 		Span:        qs.Child("execute"),
 	}
-	pred := c.pp
-	if c.adaptive {
+	pred := pp
+	if perOperator && opt.AdaptivePlacement {
 		// The replan hook re-runs the tail placement search with the
 		// observed cardinality; the plan it returns carries the
 		// observed-source estimates the breakdown attaches below.
 		ro.Adaptive = &exec.AdaptiveOptions{
-			EstSurvivors: c.pp.EstSurvivors,
+			EstSurvivors: pp.EstSurvivors,
 			Replan: func(observed int64) plan.Device {
-				pred, _ = optimizer.ReplaceTail(c.pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
+				pred, _ = optimizer.ReplaceTail(pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
 				return pred.AggDevice()
 			},
 		}
 	}
-	if c.perOperator {
+	if perOperator {
 		ro.Span.SetStr("placement", PlacementPerOperator.String())
 	}
-	out, err := exec.Execute(ctx, c.pp, db.store, ro)
+	out, err := exec.Execute(ctx, pp, db.store, ro)
 	if out != nil && out.Adaptive != nil {
 		ro.Span.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", out.Adaptive.Fired, out.Adaptive.Replaced))
 	}
@@ -770,11 +804,10 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 		return nil, nil, err
 	}
 
-	m := &Metrics{
+	m = &Metrics{
 		Cycles:            out.Cycles,
 		Seconds:           out.Seconds,
 		BytesMoved:        out.BytesMoved,
-		Plan:              c.plan,
 		CSBBreakdown:      out.ClassShare,
 		DeviceUsed:        out.Device,
 		Breakdown:         out.Breakdown,
@@ -787,66 +820,47 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 		AltEstCycles:      pred.AltEstCycles,
 		AltFeasible:       pred.AltFeasible,
 	}
-	if c.perOperator {
+	// A per-operator run reports its placed tree; forced CPU reports none.
+	switch {
+	case perOperator:
 		m.Plan = pred.String()
+	case opt.Device != DeviceCPU:
+		m.Plan = pp.Phys.String()
 	}
 	if out.Adaptive != nil {
 		m.Replaced = out.Adaptive.Replaced
 	}
 	shape := ""
-	if c.pp.FactDevice() == plan.DeviceCAPE {
-		shape = c.pp.Phys.Shape().String()
+	if pp.FactDevice() == plan.DeviceCAPE {
+		shape = pp.Phys.Shape().String()
 	}
 	applyEstimates(m.Breakdown, pred)
 	qs.SetInt("est_cycles", m.EstCycles)
 	db.recordMisestimates(tel, m)
 	db.recordQueryMetrics(tel, qs, m, shape)
-	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, len(out.Result.Rows), start, prepEnd)
+	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, len(out.Result.Rows), start, phases, ends...)
 	return db.decode(out.Result), m, nil
 }
 
-// compiled is a statement lowered onto the single execution path. Its
-// placed plan is annotated by the cost model, so it also prices the
-// breakdown's est column.
-type compiled struct {
-	pp *plan.PlacedPlan
-	// plan is Metrics.Plan for placements forced onto one device; a
-	// per-operator run reports its placed tree instead.
-	plan        string
-	perOperator bool
-	adaptive    bool
-}
-
-// compile chooses the placed plan for opt. Forced devices and whole-query
+// place chooses the compiled plan for opt. Forced devices and whole-query
 // hybrid routing run the uniform plan the cost model already prices for
 // prediction; per-operator placement runs the optimizer's placed pipeline
 // (priced with the overlapped transfer term when streaming, and with the
 // materializing model when the adaptive checkpoint needs the whole fact
 // stage first).
-func compile(cp optimizer.CachedPlan, cat *stats.Catalog, cfg cape.Config, opt Options) (compiled, error) {
-	phys, maxvl := cp.Phys, cfg.MAXVL
+func place(phys *plan.Physical, cat *stats.Catalog, cfg cape.Config, opt Options) *plan.PlacedPlan {
+	maxvl := cfg.MAXVL
 	switch {
+	case opt.perOperator() && opt.Streaming && !opt.AdaptivePlacement:
+		return optimizer.PlacePlanStreaming(phys, cat, maxvl)
+	case opt.perOperator():
+		return optimizer.PlacePlan(phys, cat, maxvl)
 	case opt.Device == DeviceCPU:
-		// CPU preparations stop at binding, so the prediction runs its own
-		// plan-shape pass (planning costs microseconds against a simulation
-		// that costs milliseconds; the result is not cached).
-		p, err := optimizer.Optimize(cp.Bound, cat, maxvl)
-		if err != nil {
-			return compiled{}, err
-		}
-		return compiled{pp: optimizer.PredictUniform(p, cat, maxvl, plan.DeviceCPU)}, nil
-	case opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator:
-		pp := optimizer.PlacePlan(phys, cat, maxvl)
-		if opt.Streaming && !opt.AdaptivePlacement {
-			pp = optimizer.PlacePlanStreaming(phys, cat, maxvl)
-		}
-		return compiled{pp: pp, perOperator: true, adaptive: opt.AdaptivePlacement}, nil
+		return optimizer.PredictUniform(phys, cat, maxvl, plan.DeviceCPU)
+	case opt.Device == DeviceHybrid:
+		return optimizer.PredictUniform(phys, cat, maxvl, exec.DecideDevice(phys, cat, cfg, 0, 0))
 	}
-	dev := plan.DeviceCAPE
-	if opt.Device == DeviceHybrid {
-		dev = exec.DecideDevice(phys, cat, cfg, 0, 0)
-	}
-	return compiled{pp: optimizer.PredictUniform(phys, cat, maxvl, dev), plan: phys.String()}, nil
+	return optimizer.PredictUniform(phys, cat, maxvl, plan.DeviceCAPE)
 }
 
 // applyEstimates attaches a placed plan's per-operator predictions, with
@@ -923,15 +937,27 @@ func opKindOfRow(name string) string {
 	return "other"
 }
 
-// recordFlight commits the flight record of a successful execution. Phases
-// cover the facade's view (prepare, execute); the server amends them with
-// its queue/lease/exec/serialize lifecycle when the query came through Do.
-func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start, prepEnd time.Time) uint64 {
+// recordFlight commits the flight record of a successful execution that
+// began at start. The named phases partition its wall time: each ends at
+// the matching instant in ends, the last one now. Every boundary is
+// rounded to microseconds once, so the phases sum to the wall time
+// exactly. The server amends them with its queue/lease/exec/serialize
+// lifecycle when the query came through Do.
+func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start time.Time, names []string, ends ...time.Time) uint64 {
 	if tel == nil {
 		return 0
 	}
-	prepMicros := prepEnd.Sub(start).Microseconds()
 	wall := time.Since(start).Microseconds()
+	phases := make([]telemetry.FlightPhase, len(names))
+	var from int64
+	for i, name := range names {
+		to := wall
+		if i < len(ends) {
+			to = ends[i].Sub(start).Microseconds()
+		}
+		phases[i] = telemetry.FlightPhase{Name: name, Micros: to - from}
+		from = to
+	}
 	placement := ""
 	if opt.Device == DeviceHybrid {
 		placement = opt.Placement.String()
@@ -952,52 +978,11 @@ func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metri
 		Replaced:       m.Replaced,
 		Batches:        m.StreamBatches,
 		PeakBatchBytes: m.PeakBatchBytes,
-		Phases: []telemetry.FlightPhase{
-			{Name: "prepare", Micros: prepMicros},
-			{Name: "execute", Micros: wall - prepMicros},
-		},
-		Ops: telemetry.FlightOps(m.Breakdown),
+		GroupID:        m.GroupID,
+		GroupSize:      m.GroupSize,
+		Phases:         phases,
+		Ops:            telemetry.FlightOps(m.Breakdown),
 	})
-}
-
-// PlacedExplain describes the per-operator placement chosen for a
-// statement: the rendered operator tree (the EXPLAIN surface) plus the
-// routing facts a scheduler needs before committing execution resources.
-type PlacedExplain struct {
-	// Tree is the rendered placed operator tree: one line per operator with
-	// its device, estimated rows and cycles, and transfer costs.
-	Tree string
-	// FactDevice is the device the fused fact stage (scan+filter+probes)
-	// runs on — the execution resource that drives the sweep's fan-out.
-	FactDevice Device
-	// Mixed reports whether the placement spans both devices.
-	Mixed bool
-	// EstCycles is the cost model's estimate for the whole placed pipeline,
-	// transfers included.
-	EstCycles int64
-}
-
-// ExplainPlacement resolves the per-operator placement for a statement
-// under opt's design point without executing it. Preparation goes through
-// the plan cache, so explaining an already-seen statement is cheap.
-func (db *DB) ExplainPlacement(sqlText string, opt Options) (*PlacedExplain, error) {
-	opt.Device = DeviceHybrid
-	cfg := capeConfig(opt)
-	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
-	if err != nil {
-		return nil, err
-	}
-	pp := optimizer.PlacePlan(cp.Phys, db.catalog(), cfg.MAXVL)
-	fd := DeviceCAPE
-	if pp.FactDevice() == plan.DeviceCPU {
-		fd = DeviceCPU
-	}
-	return &PlacedExplain{
-		Tree:       pp.String(),
-		FactDevice: fd,
-		Mixed:      pp.Mixed(),
-		EstCycles:  pp.EstCycles(),
-	}, nil
 }
 
 // recordQueryMetrics updates the run-level counters and histograms after a

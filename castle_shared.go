@@ -1,8 +1,8 @@
 package castle
 
 // castle_shared.go is the multi-query entry point behind scan sharing: a
-// batch of statements submitted together is partitioned into fused
-// shared-scan groups (same fact table, same routed device, fused-sweep
+// batch of prepared statements submitted together is partitioned into
+// fused shared-scan groups (same fact table, same device, fused-sweep
 // eligible) and solo leftovers. A fused group executes as one fact sweep —
 // the scan streams once over the union of member columns while every
 // member's predicate sets, probes and aggregation tails run against the
@@ -19,10 +19,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
 	"castle/internal/plan"
+	"castle/internal/stats"
 	"castle/internal/telemetry"
 )
 
@@ -30,116 +30,74 @@ import (
 // records and metrics.
 var sharedGroupID atomic.Uint64
 
-// ScanClass is the coalescing identity of a statement: queries agreeing on
-// Fact and Device are candidates for one fused sweep, and queries sharing
-// Fingerprint are textually identical after normalization (a scheduler can
-// serve them from a single execution). Resolving a class costs one
-// plan-cache lookup for an already-seen statement.
-type ScanClass struct {
-	// Fact is the fact table the query sweeps.
-	Fact string
-	// Device is the concrete engine the query would execute on under the
-	// options (hybrid routing resolved).
-	Device Device
-	// Fingerprint is the normalized statement fingerprint.
-	Fingerprint string
+// groupKey is what the members of one fused sweep share: the fact table
+// and device their compiled plans run on, and the statistics, design point
+// and telemetry sink they were prepared with.
+type groupKey struct {
+	fact            string
+	dev             plan.Device
+	cat             *stats.Catalog
+	maxvl           int
+	noEnh, noFusion bool
+	tel             *Telemetry
 }
 
-// ScanClassOf resolves the coalescing identity of a statement under opt.
-func (db *DB) ScanClassOf(sqlText string, opt Options) (ScanClass, error) {
-	dev, err := db.Route(sqlText, opt)
-	if err != nil {
-		return ScanClass{}, err
-	}
-	o := opt
-	o.Device = dev
-	cp, err := db.prepare(nil, sqlText, o, capeConfig(o).MAXVL)
-	if err != nil {
-		return ScanClass{}, err
-	}
-	return ScanClass{
-		Fact:        cp.Bound.Fact,
-		Device:      dev,
-		Fingerprint: telemetry.FingerprintSQL(sqlText),
-	}, nil
-}
-
-// sharedMember is one statement of a group batch bound to its caller slot.
-type sharedMember struct {
-	idx int // position in the caller's sqls slice
-	sql string
-	cp  optimizer.CachedPlan
-}
-
-// QueryGroup executes a batch of statements with background context; see
-// QueryGroupContext.
+// QueryGroup prepares every statement under opt and executes them together
+// with background context; see QueryGroupContext.
 func (db *DB) QueryGroup(sqls []string, opt Options) ([]*Rows, []*Metrics, error) {
-	return db.QueryGroupContext(context.Background(), sqls, opt)
+	stmts := make([]*Stmt, len(sqls))
+	for i, sqlText := range sqls {
+		stmt, err := db.Prepare(sqlText, opt)
+		if err != nil {
+			return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
+		}
+		stmts[i] = stmt
+	}
+	return db.QueryGroupContext(context.Background(), stmts, opt.Parallelism)
 }
 
-// QueryGroupContext executes a batch of statements together, fusing
-// same-fact, same-device, sweep-eligible members into shared fact scans
-// when opt.ScanSharing is set. Results and metrics align with sqls by
-// index. Every member's rows are bit-identical to running it alone;
-// fused members report GroupID/GroupSize and an attributed cycle share
-// whose per-group sum equals the fused engine total exactly. Ineligible
-// or solitary members fall back to ordinary solo execution transparently.
-// Fused execution runs whole-query on the routed device; solo members
-// keep the full option set. Any member's failure fails the batch.
-func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options) ([]*Rows, []*Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := opt.Placement.validate(); err != nil {
-		return nil, nil, err
+// QueryGroupContext executes a batch of prepared statements together.
+// Members prepared with Options.ScanSharing fuse into shared fact scans
+// when their whole compiled plan runs on one device and they agree on fact
+// table, device, statistics, design point and telemetry; a per-operator
+// plan that spans both devices runs solo with its placed plan. Results and
+// metrics align with stmts by index. Every member's rows are bit-identical
+// to running it alone; fused members report GroupID/GroupSize and an
+// attributed cycle share whose per-group sum equals the fused engine total
+// exactly. Ineligible or solitary members Run solo, their fact sweeps
+// fanned out across parallelism tiles or cores. Any member's failure
+// fails the batch.
+func (db *DB) QueryGroupContext(ctx context.Context, stmts []*Stmt, parallelism int) ([]*Rows, []*Metrics, error) {
+	if parallelism < 0 {
+		return nil, nil, fmt.Errorf("castle: negative Parallelism %d", parallelism)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(sqls)
+	n := len(stmts)
 	rows := make([]*Rows, n)
 	mets := make([]*Metrics, n)
-	if n == 0 {
-		return rows, mets, nil
-	}
 
-	// Members fuse only with members that sweep the same fact table on the
-	// same routed device.
-	type groupKey struct {
-		fact string
-		dev  plan.Device
-	}
 	var solo []int
-	byKey := make(map[groupKey][]sharedMember)
+	byKey := make(map[groupKey][]int) // positions in stmts
 	var keyOrder []groupKey
-	if opt.ScanSharing && n > 1 {
-		for i, sqlText := range sqls {
-			dev, err := db.Route(sqlText, opt)
-			if err != nil {
-				return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
-			}
-			o := opt
-			o.Device = dev
-			cp, err := db.prepare(nil, sqlText, o, capeConfig(o).MAXVL)
-			if err != nil {
-				return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
-			}
-			key := groupKey{fact: cp.Bound.Fact, dev: plan.DeviceCAPE}
-			if dev == DeviceCPU {
-				key.dev = plan.DeviceCPU
-			}
-			if _, seen := byKey[key]; !seen {
-				keyOrder = append(keyOrder, key)
-			}
-			byKey[key] = append(byKey[key], sharedMember{idx: i, sql: sqlText, cp: cp})
+	for i, stmt := range stmts {
+		if stmt.db != db {
+			return nil, nil, fmt.Errorf("castle: group member %d was prepared on another DB", i)
 		}
-	} else {
-		for i := range sqls {
+		dev, uniform := stmt.pp.Uniform()
+		if !stmt.opt.ScanSharing || n < 2 || !uniform {
 			solo = append(solo, i)
+			continue
 		}
+		o := stmt.opt
+		key := groupKey{stmt.Fact(), dev, stmt.cat, stmt.cfg.MAXVL, o.DisableEnhancements, o.DisableFusion, o.Telemetry}
+		if _, seen := byKey[key]; !seen {
+			keyOrder = append(keyOrder, key)
+		}
+		byKey[key] = append(byKey[key], i)
 	}
 
-	cfg := capeConfig(opt)
 	for _, key := range keyOrder {
 		candidates := byKey[key]
 		members := candidates
@@ -149,29 +107,27 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 			// budget (or that needs GP-mode arithmetic) runs solo instead.
 			members = members[:0:0]
 			var plansAcc []*plan.Physical
-			for _, m := range candidates {
-				trial := append(plansAcc[:len(plansAcc):len(plansAcc)], m.cp.Phys)
-				if exec.CAPESharedEligible(trial, cfg) == nil {
-					members = append(members, m)
+			for _, i := range candidates {
+				trial := append(plansAcc[:len(plansAcc):len(plansAcc)], stmts[i].pp.Phys)
+				if exec.CAPESharedEligible(trial, stmts[i].cfg) == nil {
+					members = append(members, i)
 					plansAcc = trial
 				} else {
-					solo = append(solo, m.idx)
+					solo = append(solo, i)
 				}
 			}
 		}
 		if len(members) < 2 {
-			for _, m := range members {
-				solo = append(solo, m.idx)
-			}
+			solo = append(solo, members...)
 			continue
 		}
-		if err := db.runSharedGroup(ctx, key.dev, members, opt, cfg, rows, mets); err != nil {
+		if err := db.runSharedGroup(ctx, key.dev, stmts, members, rows, mets); err != nil {
 			return nil, nil, err
 		}
 	}
 
 	for _, i := range solo {
-		r, m, err := db.QueryContext(ctx, sqls[i], opt)
+		r, m, err := stmts[i].Run(ctx, parallelism)
 		if err != nil {
 			return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
 		}
@@ -180,30 +136,23 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 	return rows, mets, nil
 }
 
-// runSharedGroup executes one fused group on a fresh engine of dev and
-// fills the members' caller slots.
-func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
+// runSharedGroup executes the members (positions in stmts) as one fused
+// group on a fresh engine of dev and fills their result slots. Members
+// share their group key, so the first one's preparation supplies the
+// design point, statistics and telemetry.
+func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, stmts []*Stmt, members []int, rows []*Rows, mets []*Metrics) error {
 	start := time.Now()
-	tel := opt.Telemetry
-	cat := db.catalog()
+	first := stmts[members[0]]
+	tel, cat, cfg := first.opt.Telemetry, first.cat, first.cfg
 	plans := make([]*plan.Physical, len(members))
 	for i, m := range members {
-		plans[i] = m.cp.Phys
-		if plans[i] == nil {
-			// CPU preparations stop at binding; the group estimate and the
-			// members' per-operator predictions need a plan shape.
-			p, err := optimizer.Optimize(m.cp.Bound, cat, cfg.MAXVL)
-			if err != nil {
-				return err
-			}
-			plans[i] = p
-		}
+		plans[i] = stmts[m].pp.Phys
 	}
 
 	gs := tel.StartSpan("fused-sweep")
 	gs.SetStr("device", dev.String())
 	gs.SetInt("members", int64(len(members)))
-	out, err := exec.ExecuteShared(ctx, dev, plans, db.store, cfg, cat, !opt.DisableFusion, tel)
+	out, err := exec.ExecuteShared(ctx, dev, plans, db.store, cfg, cat, !first.opt.DisableFusion, tel)
 	gs.SetInt("cycles", out.Stats.TotalCycles)
 	gs.End()
 	if err != nil {
@@ -234,9 +183,12 @@ func (db *DB) runSharedGroup(ctx context.Context, dev plan.Device, members []sha
 		if est.MemberCycles != nil {
 			met.EstCycles = est.MemberCycles[i]
 		}
-		applyEstimates(met.Breakdown, optimizer.PredictUniform(plans[i], cat, cfg.MAXVL, dev))
-		db.finishGroupMember(tel, met, m, shape, start)
-		rows[m.idx], mets[m.idx] = db.decode(res.Result), met
+		applyEstimates(met.Breakdown, stmts[m].pp)
+		db.recordQueryMetrics(tel, nil, met, shape)
+		// Preparation happened before the group formed, so the member's
+		// flight record covers execution only.
+		met.FlightSeq = db.recordFlight(tel, stmts[m].sql, stmts[m].opt, met, len(res.Result.Rows), start, []string{"execute"})
+		rows[m], mets[m] = db.decode(res.Result), met
 	}
 	return nil
 }
@@ -254,41 +206,4 @@ func countSharedSweep(tel *Telemetry, device string, n int) {
 	reg.Counter(telemetry.MetricCoalescedQueries,
 		"Member queries served by fused shared-scan executions.",
 		telemetry.L("kind", "fused")).Add(int64(n))
-}
-
-// finishGroupMember records one fused member's run-level metrics and flight
-// record, stamping the group identity. Preparation happened before the
-// group formed, so the member's flight phases carry execution only.
-func (db *DB) finishGroupMember(tel *Telemetry, m *Metrics, mem sharedMember, shape string, start time.Time) {
-	db.recordQueryMetrics(tel, nil, m, shape)
-	if tel == nil {
-		return
-	}
-	rowCount := 0
-	if m.Breakdown != nil {
-		for _, o := range m.Breakdown.Operators {
-			if o.Operator == "aggregate" {
-				rowCount = int(o.Rows)
-			}
-		}
-	}
-	wall := time.Since(start).Microseconds()
-	m.FlightSeq = tel.Flight().Record(telemetry.FlightRecord{
-		SQL:         mem.sql,
-		Fingerprint: telemetry.FingerprintSQL(mem.sql),
-		Start:       start,
-		WallMicros:  wall,
-		Status:      "ok",
-		Device:      m.DeviceUsed,
-		Plan:        m.Plan,
-		RowCount:    rowCount,
-		Cycles:      m.Cycles,
-		EstCycles:   m.EstCycles,
-		GroupID:     m.GroupID,
-		GroupSize:   m.GroupSize,
-		Phases: []telemetry.FlightPhase{
-			{Name: "execute", Micros: wall},
-		},
-		Ops: telemetry.FlightOps(m.Breakdown),
-	})
 }

@@ -6,6 +6,7 @@ package castle_test
 // the group total exactly.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -127,5 +128,65 @@ func TestSharedGroupAttributionPartitions(t *testing.T) {
 	// member.
 	if shared <= 0 || shared >= total {
 		t.Fatalf("shared-scan term %d out of range (group total %d)", shared, total)
+	}
+}
+
+// TestSharedGroupRunsMixedPlansSolo: fusion keys on the compiled plan, so a
+// per-operator member whose placement spans both devices runs solo with
+// its placed plan — same rows, cycles and plan as running it alone — while
+// members whose whole plan runs on one device fuse, whatever options they
+// were prepared with.
+func TestSharedGroupRunsMixedPlansSolo(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 7)
+	queries := castle.SSBQueries()
+	perOp := castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}
+	mixed := queries[7] // Q3.2: CAPE fact stage, CPU aggregation
+	solo, soloM, err := db.QueryWith(mixed.SQL, perOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if soloM.DeviceUsed != "CAPE+CPU" {
+		t.Fatalf("%s placed on %s alone, want CAPE+CPU", mixed.Flight, soloM.DeviceUsed)
+	}
+	checkSolo := func(rows *castle.Rows, m *castle.Metrics) {
+		t.Helper()
+		if m.GroupID != 0 || m.DeviceUsed != "CAPE+CPU" || m.Cycles != soloM.Cycles || m.Plan != soloM.Plan {
+			t.Fatalf("mixed member: group %d on %s, %d cycles (alone: %d)\n%s",
+				m.GroupID, m.DeviceUsed, m.Cycles, soloM.Cycles, m.Plan)
+		}
+		if !reflect.DeepEqual(rows.Data, solo.Data) {
+			t.Fatal("mixed member's rows diverged from its solo run")
+		}
+	}
+
+	perOp.ScanSharing = true
+	rows, mets, err := db.QueryGroup([]string{queries[6].SQL, mixed.SQL, queries[8].SQL}, perOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSolo(rows[1], mets[1])
+
+	prepare := func(sql string, opt castle.Options) *castle.Stmt {
+		t.Helper()
+		st, err := db.Prepare(sql, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	capeShared := castle.Options{Device: castle.DeviceCAPE, ScanSharing: true}
+	stmts := []*castle.Stmt{
+		prepare(queries[3].SQL, capeShared),
+		prepare(mixed.SQL, perOp),
+		prepare(queries[6].SQL, capeShared),
+	}
+	rows, mets, err = db.QueryGroupContext(context.Background(), stmts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSolo(rows[1], mets[1])
+	if mets[0].GroupSize != 2 || mets[2].GroupID != mets[0].GroupID {
+		t.Fatalf("uniform CAPE members did not fuse: groups (%d, %d), sizes (%d, %d)",
+			mets[0].GroupID, mets[2].GroupID, mets[0].GroupSize, mets[2].GroupSize)
 	}
 }

@@ -10,7 +10,6 @@ package castle
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -104,24 +103,8 @@ func (c *Cluster) String() string {
 func (c *Cluster) QueryContext(ctx context.Context, sqlText string, opt Options) (*Rows, *Metrics, error) {
 	start := time.Now()
 	rows, m, err := c.queryContext(ctx, sqlText, opt, start)
-	if err != nil && opt.Telemetry != nil {
-		status := "error"
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = "deadline"
-		case errors.Is(err, context.Canceled):
-			status = "canceled"
-		}
-		wall := time.Since(start).Microseconds()
-		opt.Telemetry.Flight().Record(telemetry.FlightRecord{
-			SQL:         sqlText,
-			Fingerprint: telemetry.FingerprintSQL(sqlText),
-			Start:       start,
-			WallMicros:  wall,
-			Status:      status,
-			Error:       err.Error(),
-			Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
-		})
+	if err != nil {
+		opt.Telemetry.RecordFailure(sqlText, start, err)
 	}
 	return rows, m, err
 }
@@ -132,14 +115,8 @@ func (c *Cluster) QueryWith(sqlText string, opt Options) (*Rows, *Metrics, error
 }
 
 func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options, start time.Time) (*Rows, *Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, nil, err
-	}
-	if err := opt.Placement.validate(); err != nil {
-		return nil, nil, err
-	}
-	if opt.Parallelism < 0 {
-		return nil, nil, fmt.Errorf("castle: negative Parallelism %d", opt.Parallelism)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -184,7 +161,11 @@ func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options,
 		Cluster:    &cs,
 	}
 	c.db.recordQueryMetrics(tel, qs, m, "")
-	m.FlightSeq = c.recordFlight(tel, sqlText, opt, m, len(res.Rows), start, prepEnd, cs.ScatterEnd)
+	// The lifecycle phases are prepare/scatter/gather; the server amends
+	// them with its queue/lease/serialize envelope when the query came
+	// through Do.
+	m.FlightSeq = c.db.recordFlight(tel, sqlText, opt, m, len(res.Rows), start,
+		[]string{"prepare", "scatter", "gather"}, prepEnd, cs.ScatterEnd)
 	return c.db.decode(res), m, nil
 }
 
@@ -197,41 +178,6 @@ func (c *Cluster) ExplainAnalyze(sqlText string, opt Options) (*Rows, *Metrics, 
 		return nil, nil, "", err
 	}
 	return rows, m, m.Breakdown.Format(), nil
-}
-
-// recordFlight commits a sharded execution's flight record. The lifecycle
-// phases are prepare/scatter/gather, telescoped at microsecond boundaries
-// so they sum exactly to WallMicros; the server amends them with its
-// queue/lease/serialize envelope when the query came through Do.
-func (c *Cluster) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start, prepEnd, scatterEnd time.Time) uint64 {
-	if tel == nil {
-		return 0
-	}
-	prepMicros := prepEnd.Sub(start).Microseconds()
-	scatMicros := scatterEnd.Sub(start).Microseconds()
-	wall := time.Since(start).Microseconds()
-	placement := ""
-	if opt.Device == DeviceHybrid {
-		placement = opt.Placement.String()
-	}
-	return tel.Flight().Record(telemetry.FlightRecord{
-		SQL:         sqlText,
-		Fingerprint: telemetry.FingerprintSQL(sqlText),
-		Start:       start,
-		WallMicros:  wall,
-		Status:      "ok",
-		Device:      m.DeviceUsed,
-		Placement:   placement,
-		Plan:        m.Plan,
-		RowCount:    rowCount,
-		Cycles:      m.Cycles,
-		Phases: []telemetry.FlightPhase{
-			{Name: "prepare", Micros: prepMicros},
-			{Name: "scatter", Micros: scatMicros - prepMicros},
-			{Name: "gather", Micros: wall - scatMicros},
-		},
-		Ops: telemetry.FlightOps(m.Breakdown),
-	})
 }
 
 // prepareClusterBound parses and binds a statement for coordinator

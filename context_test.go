@@ -2,7 +2,8 @@ package castle_test
 
 // context_test.go exercises the serving-facing facade additions: context
 // cancellation through QueryContext, device validation, the prepared-plan
-// cache, Route, and catalog safety under concurrent queries.
+// cache, the device a prepared statement resolves, and catalog safety
+// under concurrent queries.
 
 import (
 	"context"
@@ -51,8 +52,8 @@ func TestQueryWithRejectsUnknownDevice(t *testing.T) {
 			t.Fatalf("device %d accepted", int(bad))
 		}
 	}
-	if _, err := db.Route("SELECT SUM(o_amount) FROM orders", castle.Options{Device: castle.Device(7)}); err == nil {
-		t.Fatal("Route accepted an out-of-range device")
+	if _, err := db.Prepare("SELECT SUM(o_amount) FROM orders", castle.Options{Device: castle.Device(7)}); err == nil {
+		t.Fatal("Prepare accepted an out-of-range device")
 	}
 }
 
@@ -158,22 +159,34 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestRouteResolvesHybrid(t *testing.T) {
+func TestPrepareResolvesDevice(t *testing.T) {
 	db := castle.GenerateSSB(0.01, 7)
+	prepare := func(sql string, dev castle.Device) *castle.Stmt {
+		t.Helper()
+		st, err := db.Prepare(sql, castle.Options{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	// Q1.1 (one join, one group) must route to CAPE; Q2.1 (~7000 estimated
-	// groups) crosses the Figure 12 threshold and routes to the CPU.
-	dev, err := db.Route(castle.SSBQueries()[0].SQL, castle.Options{Device: castle.DeviceHybrid})
-	if err != nil || dev != castle.DeviceCAPE {
-		t.Fatalf("Q1.1: %v, %v", dev, err)
+	// groups) crosses the Figure 12 threshold and routes to the CPU, where
+	// it then runs.
+	if dev := prepare(castle.SSBQueries()[0].SQL, castle.DeviceHybrid).Device(); dev != castle.DeviceCAPE {
+		t.Fatalf("Q1.1: %v", dev)
 	}
-	dev, err = db.Route(castle.SSBQueries()[3].SQL, castle.Options{Device: castle.DeviceHybrid})
-	if err != nil || dev != castle.DeviceCPU {
-		t.Fatalf("Q2.1: %v, %v", dev, err)
+	st := prepare(castle.SSBQueries()[3].SQL, castle.DeviceHybrid)
+	if st.Device() != castle.DeviceCPU || st.Fact() != "lineorder" {
+		t.Fatalf("Q2.1: device %v, fact %q", st.Device(), st.Fact())
 	}
-	// Concrete devices pass through untouched.
-	dev, err = db.Route("SELECT SUM(lo_revenue) FROM lineorder", castle.Options{Device: castle.DeviceCPU})
-	if err != nil || dev != castle.DeviceCPU {
-		t.Fatalf("passthrough: %v, %v", dev, err)
+	if _, m, err := st.Run(context.Background(), 1); err != nil || m.DeviceUsed != "CPU" {
+		t.Fatalf("Q2.1 ran on %v: %v", m, err)
+	}
+	// Forced devices pass through untouched.
+	for _, dev := range []castle.Device{castle.DeviceCAPE, castle.DeviceCPU} {
+		if got := prepare("SELECT SUM(lo_revenue) FROM lineorder", dev).Device(); got != dev {
+			t.Fatalf("passthrough %v: %v", dev, got)
+		}
 	}
 }
 
@@ -210,5 +223,52 @@ func TestConcurrentQueriesShareCatalog(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStmtRunsConcurrently: one prepared statement serves any number of
+// concurrent runs, each answering like QueryContext and committing its own
+// flight record. Run with -race.
+func TestStmtRunsConcurrently(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 7)
+	tel := castle.NewTelemetry()
+	for _, opt := range []castle.Options{
+		{Device: castle.DeviceHybrid, Telemetry: tel},
+		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true, Telemetry: tel},
+	} {
+		q := castle.SSBQueries()[6].SQL // Q3.1
+		want, wantM, err := db.QueryWith(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := db.Prepare(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tel.Flight().Total()
+		const runs = 4
+		var wg sync.WaitGroup
+		errs := make(chan error, runs)
+		for g := 0; g < runs; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rows, m, err := st.Run(context.Background(), 1+g%2)
+				switch {
+				case err != nil:
+					errs <- err
+				case !reflect.DeepEqual(rows.Data, want.Data) || m.DeviceUsed != wantM.DeviceUsed:
+					errs <- fmt.Errorf("run %d on %s diverged from QueryWith on %s", g, m.DeviceUsed, wantM.DeviceUsed)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if got := tel.Flight().Total() - before; got != runs {
+			t.Fatalf("%d runs committed %d flight records", runs, got)
+		}
 	}
 }

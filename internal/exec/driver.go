@@ -236,28 +236,6 @@ func overlapHidden(cycles []int64) int64 {
 	return sum - max
 }
 
-// estimateGroups predicts the number of result groups: the product of the
-// group columns' distinct counts, capped by the fact cardinality.
-func estimateGroups(q *plan.Query, cat *stats.Catalog) int {
-	if len(q.GroupBy) == 0 {
-		return 1
-	}
-	groups := 1
-	for _, g := range q.GroupBy {
-		if cs, ok := cat.Column(g.Table, g.Column); ok && cs.Distinct > 0 {
-			if groups > 1<<30/cs.Distinct {
-				groups = 1 << 30
-				break
-			}
-			groups *= cs.Distinct
-		}
-	}
-	if rows := cat.MustTable(q.Fact).Rows; groups > rows {
-		groups = rows
-	}
-	return groups
-}
-
 // DecideDevice applies the paper's deployment model to a whole query: "CAPE
 // being closely integrated in a tiled architecture along other cores allows
 // for a software architecture in which such decisions are made dynamically"
@@ -271,8 +249,11 @@ func estimateGroups(q *plan.Query, cat *stats.Catalog) int {
 //     keeps CAPE's aggregation in CAM mode (see Castle.RunContext);
 //   - everything else runs on CAPE.
 //
-// Zero thresholds select the paper's crossover defaults. The serving layer
-// routes with it before acquiring a CAPE tile or CPU slot.
+// Group counts and predicate selectivities come from the catalog's
+// estimator, the one the placement search prices with. Zero thresholds
+// select the paper's crossover defaults. DB.Prepare routes with it, so the
+// serving layer knows which resource to lease before it acquires a CAPE
+// tile or CPU slot.
 func DecideDevice(p *plan.Physical, cat *stats.Catalog, cfg cape.Config, groupThreshold, dimThreshold int) Device {
 	if groupThreshold <= 0 {
 		groupThreshold = 5000
@@ -281,47 +262,19 @@ func DecideDevice(p *plan.Physical, cat *stats.Catalog, cfg cape.Config, groupTh
 		dimThreshold = 250_000
 	}
 	q := p.Query
-	if (cfg.EnableADL && q.GroupedSumMul()) || estimateGroups(q, cat) > groupThreshold {
+	if cfg.EnableADL && q.GroupedSumMul() {
+		return DeviceCPU
+	}
+	if groups, _ := cat.GroupCardinality(q.Fact, q.GroupBy); groups > groupThreshold {
 		return DeviceCPU
 	}
 	for _, j := range q.Joins {
 		// Filtered probe-side size (right-deep direction probes with the
 		// filtered dimension).
-		total := float64(cat.MustTable(j.Dim).Rows)
-		sel := 1.0
-		for _, pr := range q.DimPreds[j.Dim] {
-			sel *= predSelectivity(cat, pr)
-		}
-		if int(total*sel) > dimThreshold {
+		sel, _ := cat.EstimateConjunction(q.DimPreds[j.Dim])
+		if int(float64(cat.MustTable(j.Dim).Rows)*sel) > dimThreshold {
 			return DeviceCPU
 		}
 	}
 	return DeviceCAPE
-}
-
-// predSelectivity is the routing heuristic's selectivity estimate from the
-// catalog's summary statistics.
-func predSelectivity(cat *stats.Catalog, p plan.Predicate) float64 {
-	if p.Never {
-		return 0
-	}
-	cs, ok := cat.Column(p.Table, p.Column)
-	if !ok {
-		return 1
-	}
-	switch p.Op {
-	case plan.PredEQ:
-		return cs.EqSelectivity()
-	case plan.PredNE:
-		return 1 - cs.EqSelectivity()
-	case plan.PredLT, plan.PredLE:
-		return cs.RangeSelectivity(cs.Min, p.Value)
-	case plan.PredGT, plan.PredGE:
-		return cs.RangeSelectivity(p.Value, cs.Max)
-	case plan.PredBetween:
-		return cs.RangeSelectivity(p.Lo, p.Hi)
-	case plan.PredIn:
-		return cs.InSelectivity(len(p.Values))
-	}
-	return 1
 }

@@ -852,7 +852,7 @@ func TestHybridRouting(t *testing.T) {
 	// Group by a high-cardinality fact column -> CPU (Figure 12).
 	bound2 := bindQuery(t, database, `
 		SELECT lo_orderkey, SUM(lo_revenue) FROM lineorder GROUP BY lo_orderkey`)
-	if g := estimateGroups(bound2, cat); g <= 5000 {
+	if g, _ := cat.GroupCardinality(bound2.Fact, bound2.GroupBy); g <= 5000 {
 		t.Fatalf("estimated groups = %d, want > 5000", g)
 	}
 	out2, dev2 := route(optimize(t, bound2, cat, cfg.MAXVL))

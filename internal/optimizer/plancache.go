@@ -22,22 +22,21 @@ import (
 	"castle/internal/plan"
 )
 
-// CachedPlan is one prepared statement: the bound logical query and, for
-// executions that go through the optimizer, the physical plan. Phys is nil
-// when preparation stopped at binding (the pure-CPU path, which consumes
-// the bound query directly).
+// CachedPlan is one prepared statement: the bound logical query and the
+// physical plan. Phys is nil when preparation stopped at binding (the
+// cluster coordinator, whose nodes optimize against their own shards).
 type CachedPlan struct {
 	Bound *plan.Query
 	Phys  *plan.Physical
 }
 
 // Fingerprint derives the plan-cache key for a statement prepared under a
-// device class and optimizer inputs. Everything that can change the bound
-// or physical plan must land in the key: the SQL text, the device class
-// ("cpu" preparations stop at binding, "cape" ones optimize), the vector
-// length the optimizer partitions by, and any forced plan shape. Execution
-// knobs that leave the plan untouched (fusion, MKS buffer, enhancements)
-// deliberately do not fragment the key.
+// preparation class and optimizer inputs. Everything that can change the
+// bound or physical plan must land in the key: the SQL text, the class
+// ("cluster" preparations stop at binding, "optimized" ones optimize), the
+// vector length the optimizer partitions by, and any forced plan shape.
+// Execution knobs that leave the plan untouched (fusion, MKS buffer,
+// enhancements) deliberately do not fragment the key.
 func Fingerprint(sqlText, deviceClass string, maxvl int, shape plan.Shape, shapeForced bool) string {
 	sh := "auto"
 	if shapeForced {

@@ -1,13 +1,13 @@
 package server
 
 // coalesce.go is the scan-sharing admission layer: requests arriving within
-// a small window of each other that sweep the same fact table on the same
-// routed device are held briefly and flushed as one fused group — one
-// admission-queue slot, one device lease, one shared fact sweep serving
-// every member through DB.QueryGroupContext. Identical-fingerprint members
-// share a single execution's result. The window wait lands in each
-// member's queue phase, so the four-phase lifecycle attribution still
-// telescopes exactly per request.
+// a small window of each other whose prepared statements sweep the same
+// fact table on the same device are held briefly and flushed as one fused
+// group — one admission-queue slot, one device lease, one shared fact
+// sweep serving every member through DB.QueryGroupContext. Members with
+// identical fingerprints share a single execution's result. The window
+// wait lands in each member's queue phase, so the four-phase lifecycle
+// attribution still telescopes exactly per request.
 
 import (
 	"context"
@@ -15,11 +15,13 @@ import (
 	"time"
 
 	"castle"
+	"castle/internal/telemetry"
 )
 
-// coalescer holds the pending windows, keyed by (fact table, routed
-// device). The first request of a key opens a window; companions join until
-// the window timer fires or the group reaches the size cap.
+// coalescer holds the pending windows, keyed by the prepared statement's
+// fact table and device. The first request of a key opens a window;
+// companions join until the window timer fires or the group reaches the
+// size cap.
 type coalescer struct {
 	s       *Server
 	window  time.Duration
@@ -46,7 +48,7 @@ func newCoalescer(s *Server, window time.Duration, maxSize int) *coalescer {
 // group reaching the size cap flushes immediately. Returns false when the
 // coalescer has been stopped (server closing).
 func (c *coalescer) add(t *task) bool {
-	key := t.fact + "|" + t.groupDev.String()
+	key := t.stmt.Fact() + "|" + t.stmt.Device().String()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
@@ -108,27 +110,13 @@ func (c *coalescer) stopAndFlush() {
 // tryCoalesce routes an eligible request through the coalescing window.
 // The third return reports whether the request was handled here; false
 // means the caller should run the ordinary solo admission path.
-// Per-operator placements and adaptive executions keep their solo path
-// (fused execution runs whole-query on the routed device), and statements
-// that fail classification fall through so the solo path surfaces the
-// error with its usual mapping.
+// Per-operator placements and adaptive executions keep their solo path:
+// a fused group runs each member's whole plan on one device.
 func (s *Server) tryCoalesce(t *task, start time.Time) (*Response, error, bool) {
-	if s.coal == nil || t.req.Adaptive || s.cfg.Options.AdaptivePlacement ||
-		(t.device == castle.DeviceHybrid && t.placement == castle.PlacementPerOperator) {
+	if s.coal == nil || t.opt.AdaptivePlacement ||
+		(t.opt.Device == castle.DeviceHybrid && t.opt.Placement == castle.PlacementPerOperator) {
 		return nil, nil, false
 	}
-	opt := s.cfg.Options
-	opt.Device = t.device
-	opt.Telemetry = s.tel
-	if t.req.NoCache {
-		opt.DisablePlanCache = true
-	}
-	class, err := s.db.ScanClassOf(t.req.SQL, opt)
-	if err != nil {
-		return nil, nil, false
-	}
-	t.fact, t.fp, t.groupDev = class.Fact, class.Fingerprint, class.Device
-
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
@@ -204,7 +192,7 @@ func (s *Server) runGroup(gt *task) {
 	}
 	defer cancel()
 
-	dev := live[0].groupDev
+	dev := live[0].stmt.Device()
 	lease, err := s.sched.AcquireN(gctx, dev, s.maxTiles())
 	if err != nil {
 		for _, m := range live {
@@ -223,26 +211,22 @@ func (s *Server) runGroup(gt *task) {
 	// duplicates are served the representative's result.
 	slot := make([]int, len(live))
 	rep := make(map[string]int, len(live))
-	var sqls []string
+	var stmts []*castle.Stmt
 	for i, m := range live {
-		if j, ok := rep[m.fp]; ok {
+		fp := telemetry.FingerprintSQL(m.req.SQL)
+		if j, ok := rep[fp]; ok {
 			slot[i] = j
 			continue
 		}
-		rep[m.fp] = len(sqls)
-		slot[i] = len(sqls)
-		sqls = append(sqls, m.req.SQL)
+		rep[fp] = len(stmts)
+		slot[i] = len(stmts)
+		stmts = append(stmts, m.stmt)
 	}
-	if dups := len(live) - len(sqls); dups > 0 {
+	if dups := len(live) - len(stmts); dups > 0 {
 		s.dedupCount.Add(int64(dups))
 	}
 
-	opt := s.cfg.Options
-	opt.Telemetry = s.tel
-	opt.Device = dev
-	opt.ScanSharing = true
-	opt.Parallelism = lease.Size()
-	rows, mets, err := s.db.QueryGroupContext(gctx, sqls, opt)
+	rows, mets, err := s.db.QueryGroupContext(gctx, stmts, lease.Size())
 	done := time.Now()
 	for _, m := range live {
 		m.execDone = done

@@ -76,7 +76,7 @@ func (s *Scheduler) Acquires() int64 { return s.acquires.Load() }
 
 // Acquire blocks until a tile of the requested concrete device frees up or
 // ctx ends. DeviceHybrid has no pool — callers resolve routing first (see
-// DB.Route). The returned release is idempotent and must be called.
+// Stmt.Device). The returned release is idempotent and must be called.
 func (s *Scheduler) Acquire(ctx context.Context, dev castle.Device) (func(), error) {
 	lease, err := s.AcquireN(ctx, dev, 1)
 	if err != nil {

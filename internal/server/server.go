@@ -1,8 +1,9 @@
 // Package server is the concurrent query service in front of castle.DB: an
-// admission-controlled worker pool that routes each request to a simulated
-// execution resource (CAPE tile or CPU slot), runs it with a per-request
-// deadline through DB.QueryContext, and exposes the whole lifecycle through
-// the telemetry registry. The HTTP layer in http.go is a thin JSON skin
+// admission-controlled worker pool that prepares each request once
+// (DB.Prepare resolves its device), leases that simulated execution
+// resource (CAPE tile or CPU slot), runs the prepared statement with a
+// per-request deadline, and exposes the whole lifecycle through the
+// telemetry registry. The HTTP layer in http.go is a thin JSON skin
 // over Do; embedders can drive Do directly.
 //
 // Admission is a bounded queue: requests beyond the queue depth are shed
@@ -58,13 +59,14 @@ type Config struct {
 	// MaxTilesPerQuery caps the elastic lease one query may hold: the
 	// scheduler grants one tile blocking plus up to MaxTilesPerQuery-1 more
 	// only when they are idle, and the query's fact sweep fans out across
-	// the granted lease (Options.Parallelism is set to the lease size).
+	// the granted lease (Stmt.Run's parallelism is the lease size).
 	// Values <= 1 keep the one-tile-per-query behaviour.
 	MaxTilesPerQuery int
-	// DefaultTimeout applies when a request carries no deadline
-	// (default 30s).
+	// DefaultTimeout applies when a request carries no deadline (default
+	// 30s, or MaxTimeout when that is set lower).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 2m).
+	// MaxTimeout caps client-requested deadlines (default the larger of 2m
+	// and DefaultTimeout). New rejects a MaxTimeout below DefaultTimeout.
 	MaxTimeout time.Duration
 	// SlowQueryMillis, when > 0, logs one line per request whose end-to-end
 	// wall time crosses the threshold: fingerprint, device, lifecycle phase
@@ -86,12 +88,12 @@ type Config struct {
 	// selects "lo_orderdate"). Must exist in the schema.
 	ClusterPartitionKey string
 	// ScanSharing enables the coalescing admission window: requests arriving
-	// within CoalesceWindow of each other that sweep the same fact table on
-	// the same routed device are grouped into one fused shared-scan
-	// execution — one queue slot, one device lease, one fact sweep serving
-	// every member. Identical-fingerprint members share a single result.
-	// Member answers are bit-identical to solo execution. Ignored when the
-	// server is clustered.
+	// within CoalesceWindow of each other whose prepared statements sweep
+	// the same fact table on the same device are grouped into one fused
+	// shared-scan execution — one queue slot, one device lease, one fact
+	// sweep serving every member. Identical-fingerprint members share a
+	// single result. Member answers are bit-identical to solo execution.
+	// Ignored when the server is clustered.
 	ScanSharing bool
 	// CoalesceWindow is how long the first request of a prospective group
 	// waits for companions before the group flushes (default 2ms when
@@ -101,9 +103,11 @@ type Config struct {
 	// reaching the cap flushes immediately without waiting out the window.
 	MaxGroupSize int
 	// Options is the base query configuration (design point, plan shape).
-	// Device, Telemetry and Parallelism are managed by the server (the
-	// latter set per query from the elastic lease); a request's NoCache
-	// flag overrides DisablePlanCache per call.
+	// The server sets Device, Placement, Telemetry and ScanSharing per
+	// request (from the request, Config.Device/Placement and
+	// Config.ScanSharing), turns AdaptivePlacement on for a request's
+	// Adaptive flag and DisablePlanCache on for its NoCache flag, and runs
+	// each query at the parallelism of its elastic lease.
 	Options castle.Options
 }
 
@@ -122,9 +126,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
+		if c.MaxTimeout > 0 && c.MaxTimeout < c.DefaultTimeout {
+			c.DefaultTimeout = c.MaxTimeout
+		}
 	}
 	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
+		c.MaxTimeout = max(2*time.Minute, c.DefaultTimeout)
 	}
 	if c.ScanSharing && c.CoalesceWindow <= 0 {
 		c.CoalesceWindow = 2 * time.Millisecond
@@ -161,13 +168,14 @@ type Request struct {
 // its wall-clock time went between admission and response. The four phases
 // partition WallMicros (within microsecond rounding).
 type Timings struct {
-	// QueueMicros is time spent in the admission queue before a worker
-	// picked the request up.
+	// QueueMicros covers preparing the statement (a plan-cache lookup
+	// when it was seen before) and the admission-queue wait before a
+	// worker picked the request up.
 	QueueMicros int64 `json:"queue_micros"`
-	// LeaseMicros covers device routing plus waiting for the execution
-	// lease (CAPE tiles or CPU slots).
+	// LeaseMicros is the wait for the execution lease (CAPE tiles or CPU
+	// slots) on the prepared statement's device.
 	LeaseMicros int64 `json:"lease_micros"`
-	// ExecMicros is the execution itself (QueryContext).
+	// ExecMicros is the execution itself (Stmt.Run).
 	ExecMicros int64 `json:"exec_micros"`
 	// SerializeMicros covers building and delivering the response.
 	SerializeMicros int64 `json:"serialize_micros"`
@@ -249,15 +257,20 @@ type Server struct {
 }
 
 type task struct {
-	ctx       context.Context
-	req       Request
-	device    castle.Device
-	placement castle.Placement
-	enqueued  time.Time
-	done      chan taskResult // buffered: workers never block on delivery
+	ctx context.Context
+	req Request
+	// opt is the request's resolved options. stmt is the request compiled
+	// under them, prepared before admission on a single-node server (a
+	// clustered one prepares at its coordinator from opt).
+	opt  castle.Options
+	stmt *castle.Stmt
+	// enqueued is when the prepared task reached admission; the queue-wait
+	// and coalescing-window histograms measure from it.
+	enqueued time.Time
+	done     chan taskResult // buffered: workers never block on delivery
 
 	// Lifecycle timestamps, filled as the task advances: worker pickup,
-	// lease grant, execution end. Together with the enqueue and completion
+	// lease grant, execution end. Together with the arrival and completion
 	// instants they partition the request's wall time into the
 	// queue/lease/exec/serialize phases. Cluster executions additionally
 	// record the scatter/gather boundary, splitting exec into
@@ -267,13 +280,6 @@ type task struct {
 	execDone   time.Time
 	scatterEnd time.Time
 
-	// Coalescing identity, resolved before the task enters a window: the
-	// fact table it sweeps, its routed concrete device, and the normalized
-	// statement fingerprint (identical-fingerprint members of one group
-	// share a single execution's result).
-	fact     string
-	fp       string
-	groupDev castle.Device
 	// members, when non-nil, marks a fused group task: the worker executes
 	// every member against one shared fact sweep under one lease, then
 	// delivers to each member's own done channel. A group occupies one
@@ -292,6 +298,9 @@ type taskResult struct {
 // one per execution resource, so the pools can saturate.
 func New(db *castle.DB, tel *castle.Telemetry, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MaxTimeout < cfg.DefaultTimeout {
+		return nil, fmt.Errorf("server: MaxTimeout %s is below DefaultTimeout %s", cfg.MaxTimeout, cfg.DefaultTimeout)
+	}
 	device, err := castle.ParseDevice(cfg.Device)
 	if err != nil {
 		return nil, err
@@ -470,19 +479,9 @@ func (s *Server) do(ctx context.Context, req Request, start time.Time) (*Respons
 	if strings.TrimSpace(req.SQL) == "" {
 		return nil, ErrEmptySQL
 	}
-	device := s.device
-	if req.Device != "" {
-		var err error
-		if device, err = castle.ParseDevice(req.Device); err != nil {
-			return nil, err
-		}
-	}
-	placement := s.placement
-	if req.Placement != "" {
-		var err error
-		if placement, err = castle.ParsePlacement(req.Placement); err != nil {
-			return nil, err
-		}
+	opt, err := s.options(req)
+	if err != nil {
+		return nil, err
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
@@ -493,20 +492,18 @@ func (s *Server) do(ctx context.Context, req Request, start time.Time) (*Respons
 			timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
 		}
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	t := &task{
-		ctx:       ctx,
-		req:       req,
-		device:    device,
-		placement: placement,
-		enqueued:  start,
-		done:      make(chan taskResult, 1),
+	t := &task{ctx: ctx, req: req, opt: opt, done: make(chan taskResult, 1)}
+	if s.cluster == nil {
+		// Prepare before admission: a statement that fails to compile never
+		// takes a queue slot, and the worker leases the device it compiled to.
+		if t.stmt, err = s.db.Prepare(req.SQL, opt); err != nil {
+			return nil, err
+		}
 	}
+	t.enqueued = time.Now()
 
 	if resp, err, coalesced := s.tryCoalesce(t, start); coalesced {
 		return resp, err
@@ -619,45 +616,42 @@ func (s *Server) worker() {
 	}
 }
 
-// run executes one admitted task: resolve hybrid routing, acquire the
-// device resource, execute under the request ctx.
+// options resolves a request's query options: Config.Options with the
+// request's device and placement (or the server's defaults), the server's
+// telemetry and scan sharing, the request's NoCache and Adaptive flags,
+// and the per-query tile budget a clustered execution fans out across.
+func (s *Server) options(req Request) (castle.Options, error) {
+	opt := s.cfg.Options
+	opt.Device, opt.Placement = s.device, s.placement
+	var err error
+	if req.Device != "" {
+		if opt.Device, err = castle.ParseDevice(req.Device); err != nil {
+			return opt, err
+		}
+	}
+	if req.Placement != "" {
+		if opt.Placement, err = castle.ParsePlacement(req.Placement); err != nil {
+			return opt, err
+		}
+	}
+	opt.Telemetry = s.tel
+	opt.ScanSharing = s.coal != nil
+	opt.DisablePlanCache = opt.DisablePlanCache || req.NoCache
+	opt.AdaptivePlacement = opt.AdaptivePlacement || req.Adaptive
+	opt.Parallelism = s.maxTiles()
+	return opt, nil
+}
+
+// run executes one admitted task: lease the prepared statement's device,
+// then run the statement under the request ctx across the granted lease.
 func (s *Server) run(t *task) (*Response, error) {
 	if err := t.ctx.Err(); err != nil {
 		return nil, err
 	}
-	opt := s.cfg.Options
-	opt.Telemetry = s.tel
-	if t.req.NoCache {
-		opt.DisablePlanCache = true
-	}
-	if t.req.Adaptive {
-		opt.AdaptivePlacement = true
-	}
 	if s.cluster != nil {
-		return s.runCluster(t, opt)
+		return s.runCluster(t)
 	}
-
-	opt.Device = t.device
-	var dev castle.Device
-	if t.device == castle.DeviceHybrid && t.placement == castle.PlacementPerOperator {
-		// Per-operator placement: the fact stage's device drives the fan-out,
-		// so that's the resource to lease; execution stays on DeviceHybrid so
-		// the placed pipeline (possibly spanning both devices) runs.
-		pe, err := s.db.ExplainPlacement(t.req.SQL, opt)
-		if err != nil {
-			return nil, err
-		}
-		dev = pe.FactDevice
-		opt.Placement = castle.PlacementPerOperator
-	} else {
-		var err error
-		dev, err = s.db.Route(t.req.SQL, opt)
-		if err != nil {
-			return nil, err
-		}
-		opt.Device = dev
-	}
-	lease, err := s.sched.AcquireN(t.ctx, dev, s.maxTiles())
+	lease, err := s.sched.AcquireN(t.ctx, t.stmt.Device(), s.maxTiles())
 	if err != nil {
 		return nil, err
 	}
@@ -665,8 +659,7 @@ func (s *Server) run(t *task) (*Response, error) {
 	t.leased = time.Now()
 	s.leaseSize.Observe(float64(lease.Size()))
 
-	opt.Parallelism = lease.Size()
-	rows, m, err := s.db.QueryContext(t.ctx, t.req.SQL, opt)
+	rows, m, err := t.stmt.Run(t.ctx, lease.Size())
 	t.execDone = time.Now()
 	if err != nil {
 		return nil, err
@@ -690,12 +683,9 @@ func (s *Server) run(t *task) (*Response, error) {
 // path skips the single-node scheduler lease (the lease timestamp still
 // lands, as a zero-width phase, so the lifecycle telescopes); every node
 // fans its fact sweep out across the full per-query tile budget.
-func (s *Server) runCluster(t *task, opt castle.Options) (*Response, error) {
-	opt.Device = t.device
-	opt.Placement = t.placement
-	opt.Parallelism = s.maxTiles()
+func (s *Server) runCluster(t *task) (*Response, error) {
 	t.leased = time.Now()
-	rows, m, err := s.cluster.QueryContext(t.ctx, t.req.SQL, opt)
+	rows, m, err := s.cluster.QueryContext(t.ctx, t.req.SQL, t.opt)
 	t.execDone = time.Now()
 	if err != nil {
 		return nil, err

@@ -296,6 +296,25 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestServerTimeoutDefaults: the default deadline is served as configured.
+// An unset MaxTimeout never caps it, an unset DefaultTimeout never exceeds
+// an explicit cap, and an explicit cap below the default is refused.
+func TestServerTimeoutDefaults(t *testing.T) {
+	s := newTestServer(t, Config{DefaultTimeout: 3 * time.Minute})
+	if s.cfg.MaxTimeout < 3*time.Minute {
+		t.Fatalf("MaxTimeout %s caps the 3m default deadline", s.cfg.MaxTimeout)
+	}
+	s = newTestServer(t, Config{MaxTimeout: 10 * time.Second})
+	if s.cfg.DefaultTimeout != 10*time.Second {
+		t.Fatalf("DefaultTimeout %s under a 10s cap", s.cfg.DefaultTimeout)
+	}
+	bad, err := New(sharedDB(t), nil, Config{DefaultTimeout: 400 * time.Millisecond, MaxTimeout: 50 * time.Millisecond})
+	if err == nil {
+		bad.Close()
+		t.Fatal("New accepted a MaxTimeout below DefaultTimeout")
+	}
+}
+
 func TestServerGracefulDrain(t *testing.T) {
 	s := newTestServer(t, Config{QueueDepth: 64, CAPETiles: 1, CPUSlots: 1})
 	q := castle.SSBQueries()[0].SQL

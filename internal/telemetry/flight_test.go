@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -220,5 +222,36 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	}
 	if _, ok := f.Get(1); ok || f.Snapshot() != nil {
 		t.Fatal("nil recorder returned data")
+	}
+}
+
+// TestRecordFailure: a failed statement's record carries its SQL, error and
+// one "total" phase, with context errors told apart; nil records nothing.
+func TestRecordFailure(t *testing.T) {
+	var none *Telemetry
+	none.RecordFailure("SELECT 1", time.Now(), errors.New("boom"))
+
+	tel := New()
+	start := time.Now()
+	for _, tc := range []struct {
+		err    error
+		status string
+	}{
+		{errors.New("parse error"), "error"},
+		{fmt.Errorf("lease: %w", context.DeadlineExceeded), "deadline"},
+		{context.Canceled, "canceled"},
+	} {
+		tel.RecordFailure(" SELECT 1 ", start, tc.err)
+		rec := tel.Flight().Snapshot()[0]
+		if rec.Status != tc.status || rec.Error != tc.err.Error() || rec.SQL != " SELECT 1 " ||
+			rec.Fingerprint != FingerprintSQL("SELECT 1") || !rec.Start.Equal(start) {
+			t.Fatalf("%v: record %+v", tc.err, rec)
+		}
+		if len(rec.Phases) != 1 || rec.Phases[0].Name != "total" || rec.SumPhaseMicros() != rec.WallMicros {
+			t.Fatalf("%v: phases %+v, wall %dµs", tc.err, rec.Phases, rec.WallMicros)
+		}
+	}
+	if n := tel.Flight().Total(); n != 3 {
+		t.Fatalf("%d records, want 3", n)
 	}
 }

@@ -12,7 +12,12 @@
 // pays only a nil check per call site.
 package telemetry
 
-import "io"
+import (
+	"context"
+	"errors"
+	"io"
+	"time"
+)
 
 // Telemetry couples a span recorder, a metrics registry and a query flight
 // recorder for one observation scope (typically one process; tests use one
@@ -51,6 +56,33 @@ func (t *Telemetry) Flight() *FlightRecorder {
 		return nil
 	}
 	return t.flight
+}
+
+// RecordFailure commits the flight record of a statement that failed
+// after start: its SQL, the error, and one "total" phase spanning the
+// attempt. The status is "deadline" or "canceled" for context errors and
+// "error" otherwise. A nil Telemetry records nothing.
+func (t *Telemetry) RecordFailure(sql string, start time.Time, err error) {
+	if t == nil {
+		return
+	}
+	status := "error"
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		status = "deadline"
+	case errors.Is(err, context.Canceled):
+		status = "canceled"
+	}
+	wall := time.Since(start).Microseconds()
+	t.flight.Record(FlightRecord{
+		SQL:         sql,
+		Fingerprint: FingerprintSQL(sql),
+		Start:       start,
+		WallMicros:  wall,
+		Status:      status,
+		Error:       err.Error(),
+		Phases:      []FlightPhase{{Name: "total", Micros: wall}},
+	})
 }
 
 // StartSpan opens a root span. Returns nil (a no-op span) when t is nil.

@@ -1,10 +1,11 @@
 package castle_test
 
 // placement_api_test.go covers the public surface of per-operator hybrid
-// placement: Options.Placement, the combined two-device metrics, and the
-// ExplainPlacement EXPLAIN surface.
+// placement: Options.Placement, the combined two-device metrics, and what a
+// prepared per-operator statement exposes and reports.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -65,33 +66,43 @@ func TestPublicAPIPerOperatorPlacement(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExplainPlacement checks the EXPLAIN surface: the placed tree
-// renders with per-operator devices, and the grand-aggregate flights stay
-// uniform CAPE while the grouping-heavy flights mix.
-func TestPublicAPIExplainPlacement(t *testing.T) {
+// TestPublicAPIPreparePlacement checks a prepared per-operator statement:
+// it leases its fact stage's device, and its run reports the placed tree
+// with per-operator devices — uniform CAPE for the grand-aggregate flights,
+// mixed with a CPU aggregate for the grouping-heavy ones.
+func TestPublicAPIPreparePlacement(t *testing.T) {
 	db := castle.GenerateSSB(0.01, 7)
-	pe, err := db.ExplainPlacement(castle.SSBQueries()[0].SQL, castle.Options{}) // Q1.1
-	if err != nil {
-		t.Fatal(err)
+	run := func(q castle.SSBQuery) *castle.Metrics {
+		t.Helper()
+		st, err := db.Prepare(q.SQL, castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Device() != castle.DeviceCAPE || st.Fact() != "lineorder" {
+			t.Fatalf("%s: fact stage %s on %v, want lineorder on CAPE", q.Flight, st.Fact(), st.Device())
+		}
+		_, m, err := st.Run(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if pe.Mixed || pe.FactDevice != castle.DeviceCAPE {
-		t.Fatalf("Q1.1 should place uniform CAPE, got mixed=%v fact=%s", pe.Mixed, pe.FactDevice)
+	m := run(castle.SSBQueries()[0]) // Q1.1
+	if m.DeviceUsed != "CAPE" {
+		t.Fatalf("Q1.1 should place uniform CAPE, ran on %s", m.DeviceUsed)
 	}
-	if !strings.Contains(pe.Tree, "uniform") || !strings.Contains(pe.Tree, "scan[lineorder]") {
-		t.Fatalf("Q1.1 tree malformed:\n%s", pe.Tree)
+	if !strings.Contains(m.Plan, "uniform") || !strings.Contains(m.Plan, "scan[lineorder]") {
+		t.Fatalf("Q1.1 tree malformed:\n%s", m.Plan)
 	}
-	pe, err = db.ExplainPlacement(castle.SSBQueries()[7].SQL, castle.Options{}) // Q3.2
-	if err != nil {
-		t.Fatal(err)
+	m = run(castle.SSBQueries()[7]) // Q3.2
+	if m.DeviceUsed != "CAPE+CPU" || !strings.Contains(m.Plan, "placed plan (mixed") {
+		t.Fatalf("Q3.2 should mix with the fact stage on CAPE, ran on %s:\n%s", m.DeviceUsed, m.Plan)
 	}
-	if !pe.Mixed || pe.FactDevice != castle.DeviceCAPE {
-		t.Fatalf("Q3.2 should mix with the fact stage on CAPE, got mixed=%v fact=%s", pe.Mixed, pe.FactDevice)
-	}
-	if pe.EstCycles <= 0 {
+	if m.EstCycles <= 0 {
 		t.Fatal("EstCycles missing")
 	}
-	if !strings.Contains(pe.Tree, "aggregate") || !strings.Contains(pe.Tree, "CPU") {
-		t.Fatalf("Q3.2 tree should show a CPU aggregate:\n%s", pe.Tree)
+	if !strings.Contains(m.Plan, "aggregate") || !strings.Contains(m.Plan, "CPU") {
+		t.Fatalf("Q3.2 tree should show a CPU aggregate:\n%s", m.Plan)
 	}
 }
 

@@ -44,8 +44,8 @@ func TestGroupedSumMulRejectedOnCAPE(t *testing.T) {
 			t.Fatalf("whole-query hybrid ran on %s, want CPU", m.DeviceUsed)
 		}
 	}
-	if dev, err := db.Route(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid}); err != nil || dev != castle.DeviceCPU {
-		t.Fatalf("Route = %v, %v; want CPU", dev, err)
+	if st, err := db.Prepare(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid}); err != nil || st.Device() != castle.DeviceCPU {
+		t.Fatalf("Prepare = %v, %v; want CPU", st, err)
 	}
 
 	// Unmodified CAPE (no adaptive data layout) aggregates the shape in one
@@ -59,8 +59,8 @@ func TestGroupedSumMulRejectedOnCAPE(t *testing.T) {
 			t.Fatalf("%v without enhancements ran on %s\ngot:  %v\nwant: %v", dev, m.DeviceUsed, rows.Data, want.Data)
 		}
 	}
-	if dev, err := db.Route(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid, DisableEnhancements: true}); err != nil || dev != castle.DeviceCAPE {
-		t.Fatalf("Route without enhancements = %v, %v; want CAPE", dev, err)
+	if st, err := db.Prepare(groupedSumMulSQL, castle.Options{Device: castle.DeviceHybrid, DisableEnhancements: true}); err != nil || st.Device() != castle.DeviceCAPE {
+		t.Fatalf("Prepare without enhancements = %v, %v; want CAPE", st, err)
 	}
 }
 
